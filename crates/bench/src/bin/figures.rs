@@ -1,11 +1,9 @@
 //! Reproduce every figure of the paper in one parallel sweep.
 //!
-//! The standalone `benches/*.rs` harnesses regenerate one figure each,
-//! sequentially. This binary enumerates the same (figure, configuration)
-//! grid as independent cells and fans them across worker threads; results
-//! merge in key order, so the data output is byte-identical for any
-//! `--jobs` value (each cell is a seeded, single-threaded simulation —
-//! see DESIGN.md §11).
+//! This binary enumerates the (figure, configuration) grid as independent
+//! cells and fans them across worker threads; results merge in key order,
+//! so the data output is byte-identical for any `--jobs` value (each cell
+//! is a seeded, single-threaded simulation — see DESIGN.md §11).
 //!
 //! Usage:
 //!
@@ -15,23 +13,19 @@
 //!
 //! `--jobs` defaults to all cores. `--smoke` shrinks measurement windows
 //! ~8× for CI. `--only fig09/` runs one figure's cells. The merged data
-//! lines (timing-free, deterministic) go to `--out` (default
-//! `results/figures_sweep.txt` at the workspace root) and to stdout.
-//! `--shards N` runs every cell's simulation on N engine worker threads
-//! (space-parallel domains); like `--jobs`, it can only change wall-clock,
-//! never a data line.
+//! lines (timing-free, deterministic) go to stdout and to `--out`; without
+//! `--out`, a full-window run of the whole grid writes them to
+//! `results/figures_sweep.txt` at the workspace root. Every full-window run
+//! also writes `results/<prefix>.csv` for each figure it ran (`fig07.csv`,
+//! `table1.csv`, ...). Smoke runs never touch `results/`: their windows are
+//! not the figures' windows. `--shards N` runs every cell's simulation on
+//! N engine worker threads (space-parallel domains); like `--jobs`, it can
+//! only change wall-clock, never a data line.
 
 use std::path::PathBuf;
 
-use rablock_bench::banner;
 use rablock_bench::sweep::{figure_cells, run_sweep};
-
-fn workspace_root() -> PathBuf {
-    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    path.pop();
-    path.pop();
-    path
-}
+use rablock_bench::{banner, results_dir, write_csv};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -109,16 +103,17 @@ fn main() {
         println!("slowest cell: {} ({:.2}s)", s.key, s.wall_secs);
     }
 
-    let path = out.unwrap_or_else(|| {
-        let mut p = workspace_root();
-        p.push("results");
-        let _ = std::fs::create_dir_all(&p);
-        p.push("figures_sweep.txt");
-        p
-    });
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
+    if !smoke {
+        for (prefix, csv) in outcome.csv_by_prefix() {
+            write_csv(&prefix, &csv);
+        }
     }
-    std::fs::write(&path, &merged).expect("write merged sweep output");
-    println!("[out] {}", path.display());
+    let full_grid = !smoke && only.is_none();
+    if let Some(path) = out.or_else(|| full_grid.then(|| results_dir().join("figures_sweep.txt"))) {
+        if let Some(parent) = path.parent() {
+            let _ = std::fs::create_dir_all(parent);
+        }
+        std::fs::write(&path, &merged).expect("write merged sweep output");
+        println!("[out] {}", path.display());
+    }
 }

@@ -1,11 +1,11 @@
 //! Wall-clock throughput harness for the simulator itself.
 //!
-//! Every figure harness drives the sans-io OSD core through the DES engine,
+//! Every figure cell drives the sans-io OSD core through the DES engine,
 //! so the wall-clock speed of that loop bounds how much of the parameter
 //! space a sweep can cover. This binary measures it directly: it runs the
-//! fig7 4 KiB random-write scenario, a chaos (fault-injection) scenario,
-//! and a grow-4->8->64 elastic-expansion scenario
-//! under `std::time::Instant` and reports
+//! fixed [`scenarios`] — fig7 4 KiB random write, chaos (fault injection)
+//! and grow-4->8->64 elastic expansion — under `std::time::Instant` and
+//! reports
 //!
 //! * **events/sec** — scheduler work items executed per wall-clock second
 //!   (`SimReport::events_processed` over the timed `run` call), and
@@ -13,17 +13,24 @@
 //!   second.
 //!
 //! Each scenario is also run twice with the same seed as a determinism
-//! guard: the full metric fingerprint (counters, latency percentiles, CPU%
-//! per stage, HistoryChecker verdicts) must be byte-identical, so a perf
-//! change that altered simulated results would fail here first.
+//! guard: the full [`SimReport::fingerprint`] (counters, latency
+//! percentiles, CPU% per stage, HistoryChecker verdicts) must be
+//! byte-identical, so a perf change that altered simulated results would
+//! fail here first. Each scenario prints its scheduler and fingerprint hash
+//! so CI can diff runs.
 //!
 //! Usage:
 //!
 //! ```text
-//! wallclock [--label before|after] [--iters N] [--smoke] [--only NAME]
-//!           [--sched wheel|heap] [--sweep] [--jobs N] [--trace-out PATH]
-//!           [--shards N] [--scale-curve] [--check-jobs]
+//! wallclock [--iters N] [--smoke] [--only NAME] [--sched wheel|heap]
+//!           [--sweep] [--jobs N] [--trace-out PATH] [--shards N]
+//!           [--scale-curve] [--check-jobs]
 //! ```
+//!
+//! `--smoke` runs seconds-scale windows. `--sched` picks the event-queue
+//! implementation. `--sweep` replaces the scenarios with the full figure
+//! grid run on `--jobs` worker threads (see the `figures` binary for the
+//! figure-facing variant).
 //!
 //! `--shards N` sets how many worker threads execute the engine's
 //! space-parallel domains (clients+monitor in domain 0, one domain per
@@ -32,10 +39,10 @@
 //! byte-identical for every N — CI diffs `--shards 1/2/4` runs to prove it.
 //!
 //! `--scale-curve` runs the 256-OSD (32 nodes x 8 OSDs), 10 000-connection
-//! 4 KiB random-write scenario at shards 1, 2, 4, and 8, asserts all four
-//! fingerprints are identical, and (unless `--smoke`) writes the scaling
-//! curve to `BENCH_pr10.json` with the host core count — speedup is only
-//! meaningful relative to the cores the run actually had.
+//! 4 KiB random-write scenario at shards 1, 2, 4, and 8, prints the curve
+//! with the host core count and asserts all four fingerprints are
+//! identical — speedup is only meaningful relative to the cores the run
+//! actually had.
 //!
 //! `--check-jobs` runs the smoke figure sweep at `--jobs 1` and `--jobs 2`
 //! and asserts the two-job run is not slower (beyond a noise tolerance):
@@ -47,55 +54,42 @@
 //! to the untraced one (tracing is passive by construction), and writes a
 //! Perfetto-loadable Chrome trace JSON plus `.telemetry.csv` /
 //! `.attribution.csv` siblings. With `--only NAME` the JSON lands at PATH
-//! exactly; otherwise each scenario gets a `-<name>` suffix. A PATH ending
-//! in `.gz` writes the JSON gzipped (deterministically — see the `gzpack`
-//! bin to unpack); the CSV siblings stay plain.
+//! exactly; otherwise each scenario gets a `-<name>` suffix.
 //!
 //! The grow scenario also reports the write-tail degradation window: its
 //! p99 write latency next to the p99 of a churn-free control run on the
 //! same 64-OSD topology, so a regression in rebalance interference shows
-//! up as a ratio change in the committed numbers.
+//! up as a ratio change.
 //!
-//! With `--label`, results are merged into `BENCH_pr6.json` at the
-//! workspace root (runs with the same label are replaced, other labels are
-//! kept, so "before" and "after" from the same machine live side by side).
-//! `--smoke` runs a seconds-scale sweep and writes nothing. `--sched`
-//! overrides the event-queue implementation at runtime (the compile-time
-//! `heap-sched` feature only flips the default); each scenario prints its
-//! scheduler and a fingerprint hash so CI can diff the two. `--sweep`
-//! replaces the fig7/chaos pair with the full figure grid run on `--jobs`
-//! worker threads (see the `figures` binary for the figure-facing variant).
+//! This harness writes no benchmark record; `perfbench/run.py` is the
+//! benchmark.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use rablock::sim::{
-    ChurnOp, ClusterSim, ClusterSimConfig, ConnWorkload, CrashSchedule, FaultPlan, GrayWindow,
-    LinkFault, Partition, RetryPolicy, SchedulerKind, SimDuration, SimReport, SimRng, SimTime,
-    WorkItem,
-};
-use rablock::{GroupId, ObjectId, PipelineMode};
-use rablock_bench::sweep::{figure_cells, run_sweep};
-use rablock_bench::{banner, paper_cluster, randwrite_conns, Dataset};
-use rablock_cluster::osd::OsdConfig;
-use rablock_cluster::placement::DEFAULT_OSD_WEIGHT;
-use rablock_cos::CosOptions;
-use rablock_lsm::LsmOptions;
+use rablock::sim::{fp_hash, SchedulerKind, SimDuration, SimReport};
+use rablock_bench::banner;
+use rablock_bench::scenarios::{self, Scenario, SCALE_CONNS, SCALE_NODES, SCALE_OSDS_PER_NODE};
+use rablock_bench::sweep::{figure_cells, run_sweep, SweepOutcome};
 
 /// One timed scenario run.
 struct Sample {
     wall_secs: f64,
     events: u64,
-    sim_writes: u64,
-    sim_reads: u64,
+    /// Completed simulated writes plus reads.
+    sim_ops: u64,
     /// p99 write latency of the run, in simulated nanoseconds.
     p99_write_ns: u64,
-    /// p99.9 write latency — the deep 4 KiB random-write tail that churn
-    /// moves first (invisible at p99 until the storm is severe).
-    p999_write_ns: u64,
-    /// For the grow scenario: p99 of the churn-free control run on the
-    /// same topology, framing the expansion's tail-latency degradation.
-    baseline_p99_write_ns: Option<u64>,
+}
+
+impl Sample {
+    fn events_per_sec(&self) -> f64 {
+        self.events as f64 / self.wall_secs
+    }
+
+    fn sim_ops_per_sec(&self) -> f64 {
+        self.sim_ops as f64 / self.wall_secs
+    }
 }
 
 /// Deterministic per-run observability artifacts (`--trace-out`).
@@ -130,601 +124,85 @@ fn attribution_csv(r: &SimReport) -> String {
     out
 }
 
-impl Sample {
-    fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_secs
-    }
-
-    fn sim_ops_per_sec(&self) -> f64 {
-        (self.sim_writes + self.sim_reads) as f64 / self.wall_secs
-    }
-}
-
-/// Everything the simulation is allowed to vary by: nothing. Two runs of
-/// the same scenario must produce identical fingerprints.
-fn fingerprint(r: &SimReport, checker: Option<(u64, u64)>) -> Vec<u64> {
-    let mut v = vec![
-        r.duration.as_nanos(),
-        r.writes_done,
-        r.reads_done,
-        r.write_iops.to_bits(),
-        r.read_iops.to_bits(),
-        r.context_switches,
-        r.events_processed,
-        r.nvm_bytes,
-        r.nvm_full_stalls,
-        r.client_errors,
-        r.queue_high_water,
-        r.recovery_pushes,
-        r.backfill_bytes,
-        r.backfill_queued,
-        r.backfill_throttled_nanos,
-        r.flaps_damped,
-    ];
-    // Named-field latency summaries, flattened in a fixed order. The
-    // attribution report is deliberately NOT part of the fingerprint: it
-    // only exists when tracing is on, and the fingerprint must be identical
-    // tracing on or off.
-    let wf = r.write_lat.fields();
-    let rf = r.read_lat.fields();
-    v.extend(wf.iter().chain(rf.iter()).map(|d| d.as_nanos()));
-    v.extend(r.node_cpu_pct.iter().map(|p| p.to_bits()));
-    v.extend(r.tag_cpu_pct.values().map(|p| p.to_bits()));
-    v.extend(r.class_cpu_pct.values().map(|p| p.to_bits()));
-    v.extend([
-        r.store.user_bytes,
-        r.store.wal_bytes,
-        r.store.flush_bytes,
-        r.store.compaction_bytes,
-        r.store.data_bytes,
-        r.store.metadata_bytes,
-        r.store.superblock_bytes,
-        r.store.read_bytes,
-        r.store.transactions,
-    ]);
-    v.extend([
-        r.device.reads,
-        r.device.writes,
-        r.device.flushes,
-        r.device.bytes_read,
-        r.device.bytes_written,
-        r.device.total_latency_ns,
-    ]);
-    if let Some((acked, checked)) = checker {
-        v.extend([acked, checked]);
-    }
-    v
-}
-
-/// FNV-1a over the fingerprint words: a single hash line CI can diff
-/// between scheduler implementations and feature builds.
-fn fp_hash(fp: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in fp {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-    }
-    h
-}
-
-/// Arms tracing + windowed telemetry on a config (`--trace-out` runs).
-fn arm_trace(cfg: &mut ClusterSimConfig) {
-    cfg.trace = true;
-    cfg.telemetry_window = Some(SimDuration::millis(2));
-}
-
-/// Extracts the observability artifacts after a traced run.
-fn trace_out(sim: &ClusterSim, report: &SimReport) -> TraceOut {
-    TraceOut {
-        chrome_json: sim.trace_chrome_json().expect("tracing armed"),
-        telemetry_csv: sim.telemetry_csv(),
-        attribution_csv: attribution_csv(report),
-    }
-}
-
-/// The fig7 4 KiB random-write scenario at the paper-cluster scale.
-fn run_fig7(
-    measure: SimDuration,
+/// Builds and prefills `scenario` outside the timer, times only the DES
+/// `run` call, and fingerprints the report (with the history checker's
+/// verdicts when the scenario arms it). `trace` also arms tracing plus
+/// 2 ms telemetry windows and returns the artifacts.
+fn run_scenario(
+    mut scenario: Scenario,
     sched: SchedulerKind,
     shards: usize,
     trace: bool,
-) -> (Sample, Vec<u64>, Option<TraceOut>) {
-    const CONNS: usize = 16;
-    let dataset = Dataset::default_for(CONNS);
-    let mut cfg = paper_cluster(PipelineMode::Dop);
-    cfg.scheduler = sched;
-    cfg.shards = shards;
-    if trace {
-        arm_trace(&mut cfg);
-    }
-    let mut sim = ClusterSim::new(cfg, randwrite_conns(dataset, CONNS));
-    sim.prefill(&dataset.all_objects());
-    let t = Instant::now();
-    let report = sim.run(SimDuration::ZERO, measure);
-    let wall_secs = t.elapsed().as_secs_f64();
-    let fp = fingerprint(&report, None);
-    let out = trace.then(|| trace_out(&sim, &report));
-    (
-        Sample {
-            wall_secs,
-            events: report.events_processed,
-            sim_writes: report.writes_done,
-            sim_reads: report.reads_done,
-            p99_write_ns: report.write_lat.p99.as_nanos(),
-            p999_write_ns: report.write_lat.p999.as_nanos(),
-            baseline_p99_write_ns: None,
-        },
-        fp,
-        out,
-    )
-}
-
-const CHAOS_PGS: u32 = 8;
-const CHAOS_CONNS: u64 = 4;
-const CHAOS_WRITES_PER_CONN: u64 = 400;
-const CHAOS_READS_PER_CONN: u64 = 100;
-
-fn chaos_oid(conn: u64, k: u64) -> ObjectId {
-    let i = conn * 100 + k;
-    ObjectId::new(GroupId((i % CHAOS_PGS as u64) as u32), i)
-}
-
-fn ms(n: u64) -> SimTime {
-    SimTime::from_nanos(n * 1_000_000)
-}
-
-struct ChaosConn {
-    conn: u64,
-    cursor: u64,
-}
-
-impl ConnWorkload for ChaosConn {
-    fn next(&mut self, _rng: &mut SimRng) -> Option<WorkItem> {
-        let i = self.cursor;
-        self.cursor += 1;
-        if i < CHAOS_WRITES_PER_CONN {
-            let k = i % 8;
-            let block = (i / 8) % 16;
-            Some(WorkItem::Write {
-                oid: chaos_oid(self.conn, k),
-                offset: block * 4096,
-                len: 4096,
-                fill: ((self.conn * 97 + k * 31 + block) % 251) as u8,
-            })
-        } else if i < CHAOS_WRITES_PER_CONN + CHAOS_READS_PER_CONN {
-            let j = i - CHAOS_WRITES_PER_CONN;
-            Some(WorkItem::Read {
-                oid: chaos_oid(self.conn, j % 8),
-                offset: (j / 8) * 4096,
-                len: 4096,
-            })
-        } else {
-            None
-        }
-    }
-}
-
-/// A fixed chaos scenario: drops, duplicates, reordering, a partition, a
-/// gray device, and a crash/restart with a torn NVM tail — with client
-/// retries, heartbeat failure detection, and the history checker armed.
-fn chaos_config() -> ClusterSimConfig {
-    let mut cfg = ClusterSimConfig::defaults(PipelineMode::Dop);
-    cfg.nodes = 3;
-    cfg.osds_per_node = 1;
-    cfg.cores_per_node = 8;
-    cfg.priority_threads = 2;
-    cfg.non_priority_threads = 3;
-    cfg.pg_count = CHAOS_PGS;
-    cfg.queue_depth = 4;
-    cfg.seed = 0xC0FFEE;
-    cfg.osd = OsdConfig {
-        mode: PipelineMode::Dop,
-        device_bytes: 64 << 20,
-        nvm_bytes: 8 << 20,
-        ring_bytes: 256 << 10,
-        flush_threshold: 8,
-        lsm: LsmOptions::tiny(),
-        cos: CosOptions::tiny(),
-        ..OsdConfig::default()
-    };
-    cfg.faults = FaultPlan::none()
-        .with_link_fault(LinkFault {
-            link: None,
-            from: SimTime::ZERO,
-            until: ms(10_000),
-            drop_p: 0.01,
-            dup_p: 0.005,
-            reorder_p: 0.05,
-            reorder_max: SimDuration::nanos(200_000),
-            spike_p: 0.02,
-            spike: SimDuration::nanos(500_000),
-        })
-        .with_partition(Partition {
-            a: 0,
-            b: 1,
-            from: ms(8),
-            until: ms(18),
-        })
-        .with_gray_window(GrayWindow {
-            device: 1,
-            from: ms(2),
-            until: ms(25),
-            multiplier: 8.0,
-        })
-        .with_crash(CrashSchedule {
-            process: 0,
-            at: ms(6),
-            restart_at: Some(ms(40)),
-            torn_tail: true,
-        });
-    cfg.heartbeat_period = Some(SimDuration::millis(1));
-    cfg.heartbeat_grace = SimDuration::millis(5);
-    cfg.retry = Some(RetryPolicy {
-        timeout_nanos: 10_000_000,
-        backoff_base_nanos: 1_000_000,
-        backoff_multiplier: 2.0,
-        jitter_frac: 0.2,
-        max_attempts: 8,
-    });
-    cfg.check_history = true;
-    cfg
-}
-
-fn run_chaos(
+    warmup: SimDuration,
     measure: SimDuration,
-    sched: SchedulerKind,
-    shards: usize,
-    trace: bool,
 ) -> (Sample, Vec<u64>, Option<TraceOut>) {
-    let wl: Vec<Box<dyn ConnWorkload>> = (0..CHAOS_CONNS)
-        .map(|c| Box::new(ChaosConn { conn: c, cursor: 0 }) as Box<dyn ConnWorkload>)
-        .collect();
-    let mut cfg = chaos_config();
-    cfg.scheduler = sched;
-    cfg.shards = shards;
+    scenario.cfg.scheduler = sched;
+    scenario.cfg.shards = shards;
     if trace {
-        arm_trace(&mut cfg);
+        scenario.cfg.trace = true;
+        scenario.cfg.telemetry_window = Some(SimDuration::millis(2));
     }
-    let mut sim = ClusterSim::new(cfg, wl);
-    let objects: Vec<(ObjectId, u64)> = (0..CHAOS_CONNS)
-        .flat_map(|c| (0..8).map(move |k| (chaos_oid(c, k), 1 << 20)))
-        .collect();
-    sim.prefill(&objects);
-    let t = Instant::now();
-    let report = sim.run(SimDuration::ZERO, measure);
-    let wall_secs = t.elapsed().as_secs_f64();
-    let checker = sim.checker().expect("history checking enabled");
-    let fp = fingerprint(
-        &report,
-        Some((checker.writes_acked(), checker.reads_checked())),
-    );
-    let out = trace.then(|| trace_out(&sim, &report));
-    (
-        Sample {
-            wall_secs,
-            events: report.events_processed,
-            sim_writes: report.writes_done,
-            sim_reads: report.reads_done,
-            p99_write_ns: report.write_lat.p99.as_nanos(),
-            p999_write_ns: report.write_lat.p999.as_nanos(),
-            baseline_p99_write_ns: None,
-        },
-        fp,
-        out,
-    )
-}
-
-// Grow scenario: 16 nodes x 4 OSDs pre-provisioned, 4 in service at start,
-// woven up to 8 and then all 64 by weight churn while the workload runs.
-const GROW_NODES: u32 = 16;
-const GROW_OSDS_PER_NODE: u32 = 4;
-const GROW_OSDS: u32 = GROW_NODES * GROW_OSDS_PER_NODE;
-const GROW_PGS: u32 = 32;
-const GROW_CONNS: u64 = 3;
-
-fn grow_oid(conn: u64, k: u64) -> ObjectId {
-    let i = conn * 100 + k;
-    ObjectId::new(GroupId((i % GROW_PGS as u64) as u32), i)
-}
-
-/// Endless 4 KiB writer over the connection's 8-object namespace: unlike
-/// the fixed-op correctness twin in `tests/chaos.rs`, the bench load never
-/// drains, so both expansion windows and the warmed-up control measure a
-/// cluster under constant pressure.
-struct GrowConn {
-    conn: u64,
-    cursor: u64,
-}
-
-impl ConnWorkload for GrowConn {
-    fn next(&mut self, _rng: &mut SimRng) -> Option<WorkItem> {
-        let i = self.cursor;
-        self.cursor += 1;
-        let k = i % 8;
-        let block = (i / 8) % 16;
-        Some(WorkItem::Write {
-            oid: grow_oid(self.conn, k),
-            offset: block * 4096,
-            len: 4096,
-            fill: ((self.conn * 97 + k * 31 + block) % 251) as u8,
-        })
-    }
-}
-
-/// The grow-4->8->64-under-load configuration. With `churn` false the same
-/// 64-OSD topology runs fully in service from the start — the control whose
-/// p99 frames the expansion's degradation window.
-fn grow_config(churn: bool) -> ClusterSimConfig {
-    let mut cfg = ClusterSimConfig::defaults(PipelineMode::Dop);
-    cfg.nodes = GROW_NODES;
-    cfg.osds_per_node = GROW_OSDS_PER_NODE;
-    cfg.cores_per_node = 6;
-    cfg.priority_threads = 1;
-    cfg.non_priority_threads = 2;
-    cfg.pg_count = GROW_PGS;
-    cfg.queue_depth = 4;
-    cfg.seed = 0xE1A5;
-    cfg.osd = OsdConfig {
-        mode: PipelineMode::Dop,
-        device_bytes: 32 << 20,
-        nvm_bytes: 4 << 20,
-        ring_bytes: 256 << 10,
-        flush_threshold: 8,
-        lsm: LsmOptions::tiny(),
-        cos: CosOptions::tiny(),
-        max_backfill_inflight: 2,
-        backfill_bytes_per_tick: 1 << 20,
-        ..OsdConfig::default()
-    };
-    // No link noise here, unlike the chaos.rs correctness twin: random
-    // drops put 10 ms retry timeouts in both tails and would swamp the
-    // expansion's own interference, which is the thing being measured.
-    cfg.faults = FaultPlan::none();
-    cfg.heartbeat_period = Some(SimDuration::millis(1));
-    cfg.heartbeat_grace = SimDuration::millis(5);
-    cfg.retry = Some(RetryPolicy {
-        timeout_nanos: 10_000_000,
-        backoff_base_nanos: 1_000_000,
-        backoff_multiplier: 2.0,
-        jitter_frac: 0.2,
-        max_attempts: 8,
-    });
-    cfg.check_history = true;
-    if churn {
-        let seed_osds = [0u32, 4, 8, 12];
-        let second = [16u32, 20, 24, 28];
-        cfg.initially_out = (0..GROW_OSDS)
-            .filter(|id| !seed_osds.contains(id))
-            .collect();
-        let mut ops: Vec<ChurnOp> = second
-            .iter()
-            .map(|&osd| ChurnOp {
-                at: ms(8),
-                osd,
-                weight: DEFAULT_OSD_WEIGHT,
-            })
-            .collect();
-        let rest = (0..GROW_OSDS).filter(|id| !seed_osds.contains(id) && !second.contains(id));
-        ops.extend(rest.enumerate().map(|(i, osd)| ChurnOp {
-            at: ms(20) + SimDuration::nanos(100_000) * i as u64,
-            osd,
-            weight: DEFAULT_OSD_WEIGHT,
-        }));
-        cfg.churn = ops;
-    }
-    cfg
-}
-
-fn run_grow(
-    measure: SimDuration,
-    sched: SchedulerKind,
-    shards: usize,
-    churn: bool,
-    trace: bool,
-) -> (Sample, Vec<u64>, Option<TraceOut>) {
-    let wl: Vec<Box<dyn ConnWorkload>> = (0..GROW_CONNS)
-        .map(|c| Box::new(GrowConn { conn: c, cursor: 0 }) as Box<dyn ConnWorkload>)
-        .collect();
-    let mut cfg = grow_config(churn);
-    cfg.scheduler = sched;
-    cfg.shards = shards;
-    if trace {
-        arm_trace(&mut cfg);
-    }
-    let mut sim = ClusterSim::new(cfg, wl);
-    let objects: Vec<(ObjectId, u64)> = (0..GROW_CONNS)
-        .flat_map(|c| (0..8).map(move |k| (grow_oid(c, k), 256 << 10)))
-        .collect();
-    sim.prefill(&objects);
-    // The churn run measures from t0 so the expansion windows (8 ms and
-    // 20 ms) land inside the percentile frame. The control warms up past
-    // the 64-OSD heartbeat-staggering transient and measures steady state,
-    // making its p99 the clean baseline the degradation is judged against.
-    let warmup = if churn {
-        SimDuration::ZERO
-    } else {
-        SimDuration::millis(25)
-    };
+    let mut sim = scenario.build();
     let t = Instant::now();
     let report = sim.run(warmup, measure);
     let wall_secs = t.elapsed().as_secs_f64();
-    let checker = sim.checker().expect("history checking enabled");
-    let fp = fingerprint(
-        &report,
-        Some((checker.writes_acked(), checker.reads_checked())),
-    );
-    let out = trace.then(|| trace_out(&sim, &report));
-    (
-        Sample {
-            wall_secs,
-            events: report.events_processed,
-            sim_writes: report.writes_done,
-            sim_reads: report.reads_done,
-            p99_write_ns: report.write_lat.p99.as_nanos(),
-            p999_write_ns: report.write_lat.p999.as_nanos(),
-            baseline_p99_write_ns: None,
-        },
-        fp,
-        out,
-    )
-}
-
-// Scale scenario (`--scale-curve`): the issue's target shape — 256 OSDs
-// (32 nodes x 8 OSDs) under 10 000 client connections of 4 KiB random
-// writes. One image (= one 1 MiB object namespace) per connection keeps
-// the prefill proportional to the connection count.
-const SCALE_NODES: u32 = 32;
-const SCALE_OSDS_PER_NODE: u32 = 8;
-const SCALE_CONNS: usize = 10_000;
-
-fn scale_config(shards: usize) -> ClusterSimConfig {
-    let mut cfg = ClusterSimConfig::defaults(PipelineMode::Dop);
-    cfg.nodes = SCALE_NODES;
-    cfg.osds_per_node = SCALE_OSDS_PER_NODE;
-    // 8 OSDs x 2 pinned priority threads + a shared pool, matching the
-    // paper testbed's 44-logical-core nodes in spirit.
-    cfg.cores_per_node = 24;
-    cfg.pg_count = 512;
-    cfg.replication = 2;
-    cfg.queue_depth = 2;
-    cfg.seed = 0x5CA1E;
-    cfg.messenger_threads = 2;
-    cfg.pg_threads = 2;
-    cfg.rtc_threads = 2;
-    cfg.priority_threads = 2;
-    cfg.non_priority_threads = 2;
-    cfg.osd = OsdConfig {
-        mode: PipelineMode::Dop,
-        // MemDisk pages lazily (vec![0; n] = untouched zero pages), so a
-        // roomy device is cheap; PG-placement skew can pile ~3x the mean
-        // PG count onto one OSD and the hash can pile those PGs onto one
-        // partition, so each partition needs slack over the ~20 MiB mean.
-        device_bytes: 512 << 20,
-        nvm_bytes: 16 << 20,
-        ring_bytes: 256 << 10,
-        flush_threshold: 8,
-        lsm: LsmOptions::tiny(),
-        // ~156 objects land on each OSD (10k objects x 2 replicas over
-        // 256 OSDs); tiny()'s 128 onode slots are too few.
-        cos: CosOptions {
-            partitions: 4,
-            onode_slots: 1024,
-            ..CosOptions::tiny()
-        },
-        ..OsdConfig::default()
+    let checker = sim.checker().map(|c| (c.writes_acked(), c.reads_checked()));
+    let fp = report.fingerprint(checker);
+    let out = trace.then(|| TraceOut {
+        chrome_json: sim.trace_chrome_json().expect("tracing armed"),
+        telemetry_csv: sim.telemetry_csv(),
+        attribution_csv: attribution_csv(&report),
+    });
+    let sample = Sample {
+        wall_secs,
+        events: report.events_processed,
+        sim_ops: report.writes_done + report.reads_done,
+        p99_write_ns: report.write_lat.p99.as_nanos(),
     };
-    cfg.shards = shards;
-    cfg
+    (sample, fp, out)
 }
 
-/// One point of the shard-scaling curve. Prefill happens outside the
-/// timed window; the timer brackets only the DES `run` call.
-fn run_scale(measure: SimDuration, sched: SchedulerKind, shards: usize) -> (Sample, Vec<u64>) {
-    let dataset = Dataset {
-        images: SCALE_CONNS as u64,
-        image_bytes: 256 << 10,
-    };
-    let mut cfg = scale_config(shards);
-    cfg.scheduler = sched;
-    let mut sim = ClusterSim::new(cfg, randwrite_conns(dataset, SCALE_CONNS));
-    // One 256 KiB object per connection, sized to the image (not the
-    // 1 MiB stripe default): 20 000 replicas over 256 OSDs have to fit
-    // the partition the group hash picks, with skew headroom.
-    let objects: Vec<(ObjectId, u64)> = (0..dataset.images)
-        .map(|image| (dataset.object(image, 0).0, dataset.image_bytes))
-        .collect();
-    sim.prefill(&objects);
-    let t = Instant::now();
-    let report = sim.run(SimDuration::ZERO, measure);
-    let wall_secs = t.elapsed().as_secs_f64();
-    let fp = fingerprint(&report, None);
-    (
-        Sample {
-            wall_secs,
-            events: report.events_processed,
-            sim_writes: report.writes_done,
-            sim_reads: report.reads_done,
-            p99_write_ns: report.write_lat.p99.as_nanos(),
-            p999_write_ns: report.write_lat.p999.as_nanos(),
-            baseline_p99_write_ns: None,
-        },
-        fp,
-    )
-}
-
-/// Writes the shard-scaling curve to `BENCH_pr10.json`. The host core
-/// count is part of the record: a speedup number is meaningless without
-/// knowing how many hardware threads the run actually had, and a 1-core
-/// host can only show the synchronization overhead side of the curve.
-fn write_bench_pr10(curve: &[(usize, Sample)], fp: u64) {
-    let path = workspace_root().join("BENCH_pr10.json");
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"pr10-shard-scaling\",\n");
-    out.push_str(&format!(
-        "  \"scenario\": \"{SCALE_NODES} nodes x {SCALE_OSDS_PER_NODE} OSDs \
-         ({} OSDs), {SCALE_CONNS} connections, 4 KiB random write\",\n",
-        SCALE_NODES * SCALE_OSDS_PER_NODE,
-    ));
-    out.push_str(
-        "  \"metric\": \"DES events/sec vs worker-shard count; the metric \
-         fingerprint is asserted byte-identical across all shard counts\",\n",
-    );
-    out.push_str(&format!("  \"host_cores\": {cores},\n"));
-    out.push_str(&format!("  \"fingerprint\": \"{fp:#018x}\",\n"));
-    out.push_str("  \"runs\": [\n");
-    let rows: Vec<String> = curve
-        .iter()
-        .map(|(shards, s)| {
-            format!(
-                "    {{\"shards\": {shards}, \"wall_secs\": {:.6}, \"events\": {}, \
-                 \"events_per_sec\": {:.1}, \"sim_ops_per_sec\": {:.1}}}",
-                s.wall_secs,
-                s.events,
-                s.events_per_sec(),
-                s.sim_ops_per_sec(),
-            )
-        })
-        .collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    std::fs::write(&path, out).expect("write BENCH_pr10.json");
-    println!("[json] {}", path.display());
-}
-
-/// `--scale-curve`: run the scale scenario at 1/2/4/8 worker shards,
-/// assert every fingerprint equals the shards=1 one, and commit the curve.
+/// `--scale-curve`: run the scale scenario at 1/2/4/8 worker shards and
+/// assert every fingerprint equals the shards=1 one.
 fn run_scale_curve(smoke: bool, sched: SchedulerKind) {
     let measure = if smoke {
         SimDuration::millis(4)
     } else {
         SimDuration::millis(12)
     };
+    let run = |shards| {
+        let (sample, fp, _) = run_scenario(
+            scenarios::scale(),
+            sched,
+            shards,
+            false,
+            SimDuration::ZERO,
+            measure,
+        );
+        (sample, fp)
+    };
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     println!(
         "scale curve: {SCALE_NODES} nodes x {SCALE_OSDS_PER_NODE} OSDs, \
-         {SCALE_CONNS} conns, 4 KiB randwrite, {} ms window",
+         {SCALE_CONNS} conns, 4 KiB randwrite, {} ms window, {cores} host cores",
         measure.as_nanos() / 1_000_000,
     );
     // Untimed warmup: the first run in a process pays allocator growth
     // and zero-page faults for the MemDisks; without it the shards=1
     // point (always measured first) looks 2x slower than steady state.
-    let _ = run_scale(measure, sched, 1);
+    let _ = run(1);
     // Shared 1-core runners jitter wall time by 3-5x between runs; the
     // min of a few repeats is the usual low-noise estimator for
     // CPU-bound work. Every repeat still has to reproduce the
     // fingerprint, so the determinism check gets stronger, not weaker.
     let iters = if smoke { 1 } else { 3 };
-    let mut curve: Vec<(usize, Sample)> = Vec::new();
     let mut base_fp: Option<Vec<u64>> = None;
-    for &shards in &[1usize, 2, 4, 8] {
-        let (mut s, fp) = run_scale(measure, sched, shards);
+    for shards in [1usize, 2, 4, 8] {
+        let (mut s, fp) = run(shards);
         for _ in 1..iters {
-            let (again, fp_again) = run_scale(measure, sched, shards);
+            let (again, fp_again) = run(shards);
             assert_eq!(
                 fp, fp_again,
                 "scale: shards={shards} fingerprint drifted between repeats"
@@ -748,22 +226,17 @@ fn run_scale_curve(smoke: bool, sched: SchedulerKind) {
                 "scale: shards={shards} must replay the shards=1 fingerprint byte-identically"
             ),
         }
-        curve.push((shards, s));
     }
     println!("  [scale] fingerprints identical across shards 1/2/4/8: OK");
-    if smoke {
-        println!("smoke scale curve complete (nothing written)");
-    } else {
-        write_bench_pr10(&curve, fp_hash(base_fp.as_deref().unwrap_or(&[])));
-    }
 }
 
-/// `--check-jobs`: the sweep-parallelism regression guard. PR 5's numbers
-/// showed `--jobs 2` *losing* to `--jobs 1` (133.3k vs 151.9k events/sec)
-/// because workers serialized on shared result state and the longest cell
-/// landed last. With longest-first scheduling and share-nothing workers,
-/// two jobs must never be slower than one beyond measurement noise — even
-/// on a single hardware thread, where the best case is a tie.
+/// `--check-jobs`: the sweep-parallelism regression guard. An earlier
+/// sweep had `--jobs 2` *losing* to `--jobs 1` (133.3k vs 151.9k
+/// events/sec) because workers serialized on shared result state and the
+/// longest cell landed last. With longest-first scheduling and
+/// share-nothing workers, two jobs must never be slower than one beyond
+/// measurement noise — even on a single hardware thread, where the best
+/// case is a tie.
 fn run_jobs_check(sched_label: SchedulerKind) {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -771,7 +244,7 @@ fn run_jobs_check(sched_label: SchedulerKind) {
     println!("jobs check (smoke sweep, scheduler {sched_label:?}, {cores} host cores):");
     // Alternate job counts and keep the min of three runs each: shared
     // runners drift minute to minute, and the regression this guards
-    // against (PR 5's pre-LPT schedule) was only ~1.14x — a single shot
+    // against (the pre-LPT schedule) was only ~1.14x — a single shot
     // cannot tell that from noise.
     let (mut s1, mut s2) = (run_figure_sweep(true, 1), run_figure_sweep(true, 2));
     for _ in 0..2 {
@@ -868,37 +341,20 @@ fn emit_trace_artifacts(
         untraced_wall_secs
     );
     let out = out.expect("traced run yields artifacts");
-    // A `.gz` suffix selects deterministic gzip output (same bytes for the
-    // same run — CI still compares artifacts with `cmp`); the CSV siblings
-    // stay plain either way and derive from the path without the suffix.
-    let gz = path.ends_with(".gz");
-    let trimmed = path.strip_suffix(".gz").unwrap_or(path);
-    let base = if exclusive {
-        PathBuf::from(trimmed)
+    let dest = if exclusive {
+        PathBuf::from(path)
     } else {
-        let p = PathBuf::from(trimmed);
+        let p = PathBuf::from(path);
         let stem = p.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
         let ext = p.extension().and_then(|s| s.to_str()).unwrap_or("json");
         p.with_file_name(format!("{stem}-{name}.{ext}"))
     };
-    let dest = if gz {
-        let mut name = base.as_os_str().to_owned();
-        name.push(".gz");
-        PathBuf::from(name)
-    } else {
-        base.clone()
-    };
-    if gz {
-        std::fs::write(&dest, rablock_bench::gz::gzip(out.chrome_json.as_bytes()))
-            .expect("write trace json.gz");
-    } else {
-        std::fs::write(&dest, &out.chrome_json).expect("write trace json");
-    }
+    std::fs::write(&dest, &out.chrome_json).expect("write trace json");
     println!("  [{name}] trace written: {}", dest.display());
-    let telemetry_dest = base.with_extension("telemetry.csv");
+    let telemetry_dest = dest.with_extension("telemetry.csv");
     std::fs::write(&telemetry_dest, &out.telemetry_csv).expect("write telemetry csv");
     println!("  [{name}] telemetry written: {}", telemetry_dest.display());
-    let attribution_dest = base.with_extension("attribution.csv");
+    let attribution_dest = dest.with_extension("attribution.csv");
     std::fs::write(&attribution_dest, &out.attribution_csv).expect("write attribution csv");
     println!(
         "  [{name}] attribution written: {}",
@@ -906,69 +362,9 @@ fn emit_trace_artifacts(
     );
 }
 
-fn workspace_root() -> PathBuf {
-    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    path.pop();
-    path.pop();
-    path
-}
-
-fn run_json(label: &str, scenario: &str, s: &Sample) -> String {
-    let degradation = match s.baseline_p99_write_ns {
-        Some(base) => format!(
-            ", \"baseline_p99_write_ns\": {base}, \"p99_degradation\": {:.3}",
-            s.p99_write_ns as f64 / base.max(1) as f64
-        ),
-        None => String::new(),
-    };
-    format!(
-        "    {{\"label\": \"{label}\", \"scenario\": \"{scenario}\", \
-         \"wall_secs\": {:.6}, \"events\": {}, \"events_per_sec\": {:.1}, \
-         \"sim_writes\": {}, \"sim_reads\": {}, \"sim_ops_per_sec\": {:.1}, \
-         \"p99_write_ns\": {}, \"p999_write_ns\": {}{degradation}}}",
-        s.wall_secs,
-        s.events,
-        s.events_per_sec(),
-        s.sim_writes,
-        s.sim_reads,
-        s.sim_ops_per_sec(),
-        s.p99_write_ns,
-        s.p999_write_ns,
-    )
-}
-
-/// Merges this invocation's runs into `BENCH_pr6.json`: existing runs with
-/// a different label are kept (one run object per line), runs with the same
-/// label are replaced.
-fn write_bench_json(label: &str, runs: &[String]) {
-    let path = workspace_root().join("BENCH_pr6.json");
-    let mut kept: Vec<String> = Vec::new();
-    if let Ok(existing) = std::fs::read_to_string(&path) {
-        for line in existing.lines() {
-            let t = line.trim();
-            if t.starts_with("{\"label\": ") && !t.starts_with(&format!("{{\"label\": \"{label}\""))
-            {
-                kept.push(format!("    {}", t.trim_end_matches(',')));
-            }
-        }
-    }
-    kept.extend(runs.iter().cloned());
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"pr6-wallclock\",\n");
-    out.push_str(
-        "  \"metric\": \"DES events/sec, simulated client ops/sec per wall-clock second, \
-         and p99 write latency (grow cell: vs churn-free control)\",\n",
-    );
-    out.push_str("  \"runs\": [\n");
-    out.push_str(&kept.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    std::fs::write(&path, out).expect("write BENCH_pr6.json");
-    println!("[json] {}", path.display());
-}
-
-/// Runs the full figure grid (`--sweep`) and returns it as one Sample.
-fn run_figure_sweep(smoke: bool, jobs: usize) -> Sample {
+/// Runs the full figure grid (`--sweep`, `--check-jobs`) and prints its
+/// merged-output hash and throughput.
+fn run_figure_sweep(smoke: bool, jobs: usize) -> SweepOutcome {
     let cells = figure_cells(smoke, None);
     println!(
         "figure sweep: {} cells on {jobs} jobs{}",
@@ -978,12 +374,6 @@ fn run_figure_sweep(smoke: bool, jobs: usize) -> Sample {
     let outcome = run_sweep(cells, jobs);
     let merged = outcome.merged_lines();
     let merged_hash = fp_hash(&merged.bytes().map(u64::from).collect::<Vec<u64>>());
-    let mut writes = 0;
-    let mut reads = 0;
-    for r in &outcome.results {
-        writes += r.out.writes;
-        reads += r.out.reads;
-    }
     println!("  [sweep] merged output hash {merged_hash:#018x}");
     println!(
         "  [sweep] wall {:.3}s  events {}  events/sec {:.0}",
@@ -991,20 +381,11 @@ fn run_figure_sweep(smoke: bool, jobs: usize) -> Sample {
         outcome.events,
         outcome.events as f64 / outcome.wall_secs,
     );
-    Sample {
-        wall_secs: outcome.wall_secs,
-        events: outcome.events,
-        sim_writes: writes,
-        sim_reads: reads,
-        p99_write_ns: 0,
-        p999_write_ns: 0,
-        baseline_p99_write_ns: None,
-    }
+    outcome
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut label: Option<String> = None;
     let mut smoke = false;
     let mut sweep = false;
     let mut iters = 3usize;
@@ -1038,10 +419,6 @@ fn main() {
             }
             "--trace-out" => {
                 trace_path = Some(args.get(i + 1).expect("--trace-out needs a path").clone());
-                i += 2;
-            }
-            "--label" => {
-                label = Some(args.get(i + 1).expect("--label needs a value").clone());
                 i += 2;
             }
             "--iters" => {
@@ -1082,7 +459,7 @@ fn main() {
             }
             other => panic!(
                 "unknown argument {other:?} \
-                 (expected --label/--iters/--jobs/--smoke/--sweep/--only/--sched/--trace-out\
+                 (expected --iters/--jobs/--smoke/--sweep/--only/--sched/--trace-out\
                  /--shards/--scale-curve/--check-jobs)"
             ),
         }
@@ -1110,13 +487,7 @@ fn main() {
     }
 
     if sweep {
-        let sample = run_figure_sweep(smoke, jobs);
-        if smoke {
-            println!("smoke sweep complete (nothing written)");
-        } else if let Some(label) = label {
-            let runs = vec![run_json(&label, "figure-sweep", &sample)];
-            write_bench_json(&label, &runs);
-        }
+        run_figure_sweep(smoke, jobs);
         return;
     }
 
@@ -1144,61 +515,74 @@ fn main() {
 
     let want = |name: &str| only.as_deref().is_none_or(|o| o == name);
     let exclusive = only.is_some();
-    let mut runs = Vec::new();
     if want("fig7") {
         println!("fig7 4 KiB randwrite (DOP, 4 nodes x 2 OSDs, 16 conns):");
-        let (fig7, fp) = measure_scenario("fig7", iters, || {
-            run_fig7(fig7_measure, sched, shards, false)
-        });
+        let run = |trace| {
+            run_scenario(
+                scenarios::fig7(),
+                sched,
+                shards,
+                trace,
+                SimDuration::ZERO,
+                fig7_measure,
+            )
+        };
+        let (fig7, fp) = measure_scenario("fig7", iters, || run(false));
         if let Some(path) = &trace_path {
-            emit_trace_artifacts("fig7", path, exclusive, &fp, fig7.wall_secs, || {
-                run_fig7(fig7_measure, sched, shards, true)
-            });
+            emit_trace_artifacts("fig7", path, exclusive, &fp, fig7.wall_secs, || run(true));
         }
-        runs.push(("fig7", fig7));
     }
     if want("chaos") {
         println!("chaos (3 nodes, faults + retries + history checker):");
-        let (chaos, fp) = measure_scenario("chaos", iters, || {
-            run_chaos(chaos_measure, sched, shards, false)
-        });
+        let run = |trace| {
+            run_scenario(
+                scenarios::chaos(),
+                sched,
+                shards,
+                trace,
+                SimDuration::ZERO,
+                chaos_measure,
+            )
+        };
+        let (chaos, fp) = measure_scenario("chaos", iters, || run(false));
         if let Some(path) = &trace_path {
-            emit_trace_artifacts("chaos", path, exclusive, &fp, chaos.wall_secs, || {
-                run_chaos(chaos_measure, sched, shards, true)
-            });
+            emit_trace_artifacts("chaos", path, exclusive, &fp, chaos.wall_secs, || run(true));
         }
-        runs.push(("chaos", chaos));
     }
     if want("grow") {
         println!("grow 4->8->64 OSDs under load (weight churn + throttled backfill):");
-        let (control, _, _) = run_grow(grow_measure, sched, shards, false, false);
-        let (mut grow, fp) = measure_scenario("grow", iters, || {
-            run_grow(grow_measure, sched, shards, true, false)
-        });
+        // The churn run measures from t0 so the expansion windows (8 ms and
+        // 20 ms) land inside the percentile frame. The control warms up past
+        // the 64-OSD heartbeat-staggering transient and measures steady
+        // state, making its p99 the clean baseline the degradation is
+        // judged against.
+        let (control, _, _) = run_scenario(
+            scenarios::grow(false),
+            sched,
+            shards,
+            false,
+            SimDuration::millis(25),
+            grow_measure,
+        );
+        let run = |trace| {
+            run_scenario(
+                scenarios::grow(true),
+                sched,
+                shards,
+                trace,
+                SimDuration::ZERO,
+                grow_measure,
+            )
+        };
+        let (grow, fp) = measure_scenario("grow", iters, || run(false));
         if let Some(path) = &trace_path {
-            emit_trace_artifacts("grow", path, exclusive, &fp, grow.wall_secs, || {
-                run_grow(grow_measure, sched, shards, true, true)
-            });
+            emit_trace_artifacts("grow", path, exclusive, &fp, grow.wall_secs, || run(true));
         }
-        grow.baseline_p99_write_ns = Some(control.p99_write_ns);
         println!(
             "  [grow] p99 write {} ns vs churn-free control {} ns ({:.2}x degradation window)",
             grow.p99_write_ns,
             control.p99_write_ns,
             grow.p99_write_ns as f64 / control.p99_write_ns.max(1) as f64,
         );
-        runs.push(("grow-4-8-64", grow));
-    }
-
-    if smoke {
-        println!("smoke sweep complete (nothing written)");
-        return;
-    }
-    if let Some(label) = label {
-        let runs: Vec<String> = runs
-            .iter()
-            .map(|(name, s)| run_json(&label, name, s))
-            .collect();
-        write_bench_json(&label, &runs);
     }
 }

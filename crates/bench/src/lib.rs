@@ -1,9 +1,10 @@
 //! # rablock-bench — shared harness plumbing for the paper's experiments
 //!
-//! Each `benches/*.rs` target regenerates one table or figure from the
-//! paper. This library holds what they share: the scaled-down cluster
-//! recipe, workload adapters from `rablock-workload` generators onto the
-//! simulation's per-connection interface, and result/CSV output helpers.
+//! The `figures` binary regenerates every table and figure of the paper
+//! from the cells in [`sweep`]; `wallclock` times the fixed
+//! [`scenarios`]. This library holds what they share: the scaled-down
+//! cluster recipe, workload adapters from `rablock-workload` generators onto
+//! the simulation's per-connection interface, and result/CSV output helpers.
 //!
 //! ## Scaling
 //!
@@ -17,10 +18,9 @@
 
 #![warn(missing_docs)]
 
-pub mod gz;
+pub mod scenarios;
 pub mod sweep;
 
-use std::io::Write as _;
 use std::path::PathBuf;
 
 use rablock::sim::{ClusterSim, ClusterSimConfig, ConnWorkload, SimDuration, SimRng, WorkItem};
@@ -329,20 +329,22 @@ pub fn windows() -> (SimDuration, SimDuration) {
     (SimDuration::millis(40), SimDuration::millis(120))
 }
 
-/// Writes a CSV under `results/` at the workspace root, best-effort.
-pub fn write_csv(name: &str, csv: &str) {
+/// The `results/` directory at the workspace root.
+pub fn results_dir() -> PathBuf {
     let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     path.pop();
     path.pop();
     path.push("results");
-    if std::fs::create_dir_all(&path).is_err() {
-        return;
-    }
-    path.push(format!("{name}.csv"));
-    if let Ok(mut f) = std::fs::File::create(&path) {
-        let _ = f.write_all(csv.as_bytes());
-        println!("[csv] {}", path.display());
-    }
+    path
+}
+
+/// Writes `results/<name>.csv` at the workspace root.
+pub fn write_csv(name: &str, csv: &str) {
+    let dir = results_dir();
+    std::fs::create_dir_all(&dir).expect("create results directory");
+    let path = dir.join(format!("{name}.csv"));
+    std::fs::write(&path, csv).expect("write csv");
+    println!("[csv] {}", path.display());
 }
 
 /// Standard banner for a harness.
@@ -351,20 +353,6 @@ pub fn banner(id: &str, what: &str) {
     println!("{id}: {what}");
     println!("paper: ICDCS'21 'Re-architecting Distributed Block Storage…'");
     println!("==============================================================");
-}
-
-/// Pretty mode name matching the paper's terminology.
-pub fn mode_name(mode: PipelineMode) -> &'static str {
-    match mode {
-        PipelineMode::Original => "Original",
-        PipelineMode::RtcV1 => "RTC-v1",
-        PipelineMode::RtcV2 => "RTC-v2",
-        PipelineMode::RtcV3 => "RTC-v3",
-        PipelineMode::Cos => "COS",
-        PipelineMode::Ptc => "PTC",
-        PipelineMode::Dop => "DOP (Proposed)",
-        PipelineMode::Ideal => "Ideal",
-    }
 }
 
 /// A 4 KiB random-write fio connection set (Figures 1, 7, 11; Tables I, II).

@@ -1,19 +1,18 @@
 //! Parallel figure sweep: every table and figure of the paper as a flat
 //! grid of independent simulation cells, fanned across OS threads.
 //!
-//! Each `benches/*.rs` harness reproduces one figure with pretty-printed
-//! tables; reproducing *all* of them sequentially costs minutes of
-//! wall-clock because every cell is a single-threaded DES run. The cells
-//! are mutually independent, though — each builds its own cluster from a
-//! fixed seed — so the sweep runs them on a pool of worker threads
-//! ([`run_sweep`]) and merges results **by cell key, not completion
-//! order**. Two runs with different `--jobs` produce byte-identical merged
-//! output; parallelism lives strictly *between* simulations, never inside
-//! one (see DESIGN.md §11).
+//! Reproducing every figure sequentially costs minutes of wall-clock
+//! because every cell is a single-threaded DES run. The cells are mutually
+//! independent, though — each builds its own cluster from a fixed seed — so
+//! the sweep runs them on a pool of worker threads ([`run_sweep`]) and
+//! merges results **by cell key, not completion order**. Two runs with
+//! different `--jobs` produce byte-identical merged output; parallelism
+//! lives strictly *between* simulations, never inside one (see DESIGN.md
+//! §11).
 //!
 //! [`figure_cells`] enumerates the full grid: Figures 1, 7–12, Tables I
-//! and II, and the two extension ablations — the same configurations the
-//! standalone harnesses use, reporting raw counters instead of prose.
+//! and II, the two extension ablations, elastic expansion and scrub
+//! overhead. [`SweepOutcome::csv_by_prefix`] renders one CSV per figure.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -22,7 +21,7 @@ use std::time::Instant;
 use rablock::sim::{ChurnOp, Component, ConnWorkload, SimDuration, SimReport, SimTime};
 use rablock::PipelineMode;
 use rablock_cluster::placement::DEFAULT_OSD_WEIGHT;
-use rablock_workload::{AccessPattern, FioJob, YcsbKind, YcsbWorkload};
+use rablock_workload::{AccessPattern, FioJob, Table, YcsbKind, YcsbWorkload};
 
 use crate::{
     paper_cluster, randread_conns, randwrite_conns, run_sim, windows, Dataset, FioConn,
@@ -30,7 +29,7 @@ use crate::{
 };
 
 /// What one sweep cell reports back: the raw counters every cell shares
-/// plus the figure-specific fields its harness would tabulate.
+/// plus the figure-specific fields its figure tabulates.
 pub struct CellOut {
     /// Scheduler work items the cell's simulation executed.
     pub events: u64,
@@ -129,6 +128,32 @@ impl SweepOutcome {
         }
         s
     }
+
+    /// One CSV per key prefix (the key up to its first `/`, e.g. `fig07`),
+    /// in key order: a `cell,writes,reads,events,<fields>` header and one
+    /// row per cell. Every cell of a prefix reports the same fields.
+    pub fn csv_by_prefix(&self) -> Vec<(String, String)> {
+        let mut out: Vec<(String, Table)> = Vec::new();
+        for r in &self.results {
+            let prefix = r.key.split('/').next().unwrap_or(&r.key);
+            if out.last().is_none_or(|(p, _)| p != prefix) {
+                let header = ["cell", "writes", "reads", "events"]
+                    .into_iter()
+                    .chain(r.out.fields.iter().map(|(k, _)| *k));
+                out.push((prefix.to_string(), Table::new(header)));
+            }
+            let row = [
+                r.key.clone(),
+                r.out.writes.to_string(),
+                r.out.reads.to_string(),
+                r.out.events.to_string(),
+            ]
+            .into_iter()
+            .chain(r.out.fields.iter().map(|(_, v)| v.clone()));
+            out.last_mut().expect("table pushed above").1.row(row);
+        }
+        out.into_iter().map(|(p, t)| (p, t.to_csv())).collect()
+    }
 }
 
 /// Runs `cells` on `jobs` worker threads pulling from a shared work index,
@@ -224,9 +249,9 @@ fn ns(d: rablock::sim::SimDuration) -> String {
     d.as_nanos().to_string()
 }
 
-/// The full figure grid: one [`Cell`] per (figure, configuration) point,
-/// mirroring the standalone harnesses in `benches/`. `only` filters by key
-/// prefix; `smoke` shrinks measurement windows without changing the grid.
+/// The full figure grid: one [`Cell`] per (figure, configuration) point.
+/// `only` filters by key prefix; `smoke` shrinks measurement windows without
+/// changing the grid.
 pub fn figure_cells(smoke: bool, only: Option<&str>) -> Vec<Cell> {
     let mut cells = Vec::new();
     // Cost hints in connection-milliseconds of simulated time — a coarse
@@ -829,6 +854,19 @@ mod tests {
         let mut order = figure_cells(true, None);
         order.sort_by(|a, b| b.cost_hint.cmp(&a.cost_hint).then(a.key.cmp(&b.key)));
         assert!(order.windows(2).all(|w| w[0].cost_hint >= w[1].cost_hint));
+    }
+
+    #[test]
+    fn csv_has_one_table_per_prefix() {
+        let outcome = run_sweep(figure_cells(true, Some("fig11/")), 1);
+        let csvs = outcome.csv_by_prefix();
+        assert_eq!(csvs.len(), 1);
+        let (prefix, csv) = &csvs[0];
+        assert_eq!(prefix, "fig11");
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines[0], "cell,writes,reads,events,conns,iops,lat_ns");
+        assert_eq!(lines.len(), 5, "header plus one row per partition count");
+        assert!(lines[1].starts_with("fig11/p1,"));
     }
 
     #[test]

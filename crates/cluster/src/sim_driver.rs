@@ -534,10 +534,146 @@ pub struct SimReport {
     pub attribution: Option<AttributionReport>,
 }
 
+/// FNV-1a over fingerprint words: one hash line that harness logs print and
+/// CI diffs across schedulers, shard counts and tracing.
+pub fn fp_hash(fp: &[u64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in fp {
+        for b in w.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1_0000_01b3);
+        }
+    }
+    h
+}
+
 impl SimReport {
     /// Total client IOPS.
     pub fn total_iops(&self) -> f64 {
         self.write_iops + self.read_iops
+    }
+
+    /// Every observable of the run, flattened to integers so that equality
+    /// is byte-for-byte: raw counters, latency summaries in nanoseconds, CPU
+    /// percentages as IEEE-754 bit patterns, store and device accounting,
+    /// and (when history checking is on) the checker's `(acked, checked)`
+    /// verdict counts. Two runs of the same scenario must produce identical
+    /// fingerprints whatever the scheduler, worker-shard count or tracing.
+    ///
+    /// The report is destructured exhaustively, so a new field does not
+    /// compile until it has a place here. `attribution` is the one
+    /// exclusion: it exists only when tracing is on.
+    pub fn fingerprint(&self, checker: Option<(u64, u64)>) -> Vec<u64> {
+        let SimReport {
+            duration,
+            writes_done,
+            reads_done,
+            write_iops,
+            read_iops,
+            write_lat,
+            read_lat,
+            node_cpu_pct,
+            tag_cpu_pct,
+            class_cpu_pct,
+            context_switches,
+            events_processed,
+            store,
+            device,
+            nvm_bytes,
+            nvm_full_stalls,
+            client_errors,
+            recovery_pushes,
+            backfill_bytes,
+            backfill_queued,
+            backfill_throttled_nanos,
+            flaps_damped,
+            degraded_objects,
+            queue_high_water,
+            scrubs_completed,
+            scrub_errors_found,
+            scrub_errors_repaired,
+            scrub_bytes,
+            scrub_throttled_nanos,
+            read_checksum_errors,
+            attribution: _,
+        } = self;
+        let StoreStats {
+            user_bytes,
+            wal_bytes,
+            flush_bytes,
+            compaction_bytes,
+            data_bytes,
+            metadata_bytes,
+            superblock_bytes,
+            read_bytes,
+            transactions,
+        } = store;
+        let DeviceStats {
+            reads,
+            writes,
+            flushes,
+            bytes_read,
+            bytes_written,
+            total_latency_ns,
+        } = device;
+        let mut v = vec![
+            duration.as_nanos(),
+            *writes_done,
+            *reads_done,
+            write_iops.to_bits(),
+            read_iops.to_bits(),
+            *context_switches,
+            *events_processed,
+            *nvm_bytes,
+            *nvm_full_stalls,
+            *client_errors,
+            *queue_high_water,
+            *recovery_pushes,
+            *backfill_bytes,
+            *degraded_objects,
+            *backfill_queued,
+            *backfill_throttled_nanos,
+            *flaps_damped,
+            *scrubs_completed,
+            *scrub_errors_found,
+            *scrub_errors_repaired,
+            *scrub_bytes,
+            *scrub_throttled_nanos,
+            *read_checksum_errors,
+        ];
+        v.extend(
+            write_lat
+                .fields()
+                .iter()
+                .chain(read_lat.fields().iter())
+                .map(|d| d.as_nanos()),
+        );
+        v.extend(node_cpu_pct.iter().map(|p| p.to_bits()));
+        v.extend(tag_cpu_pct.values().map(|p| p.to_bits()));
+        v.extend(class_cpu_pct.values().map(|p| p.to_bits()));
+        v.extend([
+            *user_bytes,
+            *wal_bytes,
+            *flush_bytes,
+            *compaction_bytes,
+            *data_bytes,
+            *metadata_bytes,
+            *superblock_bytes,
+            *read_bytes,
+            *transactions,
+        ]);
+        v.extend([
+            *reads,
+            *writes,
+            *flushes,
+            *bytes_read,
+            *bytes_written,
+            *total_latency_ns,
+        ]);
+        if let Some((acked, checked)) = checker {
+            v.extend([acked, checked]);
+        }
+        v
     }
 
     /// Mean CPU usage per node.
@@ -3340,6 +3476,36 @@ pub(crate) mod tests {
         let mut sim = ClusterSim::new(cfg, workloads);
         sim.prefill(&objects(32));
         sim.run(SimDuration::millis(30), SimDuration::millis(80))
+    }
+
+    /// The integrity and recovery counters must each move the fingerprint:
+    /// a determinism diff that cannot see them cannot catch a divergence in
+    /// scrub, read verification or recovery.
+    #[test]
+    fn fingerprint_covers_every_integrity_counter() {
+        let mut sim = ClusterSim::new(small_cfg(PipelineMode::Dop), vec![randwrite_conn(8, 0)]);
+        sim.prefill(&objects(8));
+        let report = sim.run(SimDuration::ZERO, SimDuration::millis(2));
+        let base = report.fingerprint(None);
+        type Bump = fn(&mut SimReport);
+        let bumps: [(&str, Bump); 7] = [
+            ("degraded_objects", |r| r.degraded_objects += 1),
+            ("scrubs_completed", |r| r.scrubs_completed += 1),
+            ("scrub_errors_found", |r| r.scrub_errors_found += 1),
+            ("scrub_errors_repaired", |r| r.scrub_errors_repaired += 1),
+            ("scrub_bytes", |r| r.scrub_bytes += 1),
+            ("scrub_throttled_nanos", |r| r.scrub_throttled_nanos += 1),
+            ("read_checksum_errors", |r| r.read_checksum_errors += 1),
+        ];
+        for (name, bump) in bumps {
+            let mut bumped = report.clone();
+            bump(&mut bumped);
+            assert_ne!(
+                bumped.fingerprint(None),
+                base,
+                "{name} must be part of the fingerprint"
+            );
+        }
     }
 
     #[test]

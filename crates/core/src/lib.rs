@@ -69,7 +69,7 @@ pub mod sim {
     pub use rablock_cluster::invariants::HistoryChecker;
     pub use rablock_cluster::retry::RetryPolicy;
     pub use rablock_cluster::sim_driver::{
-        ChurnOp, ClusterSim, ClusterSimConfig, ConnWorkload, SimReport, WorkItem, MON_NODE,
+        fp_hash, ChurnOp, ClusterSim, ClusterSimConfig, ConnWorkload, SimReport, WorkItem, MON_NODE,
     };
     pub use rablock_sim::{
         chrome_trace_json, AttributionReport, BitRotSchedule, Component, CrashSchedule, FaultEvent,

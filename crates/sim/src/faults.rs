@@ -449,18 +449,14 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
-    fn ms(n: u64) -> SimTime {
-        SimTime::from_nanos(n * 1_000_000)
-    }
-
     #[test]
     fn empty_plan_is_clean() {
         let plan = FaultPlan::none();
         assert!(plan.is_empty());
         let mut rng = SimRng::seed(1);
-        let fate = plan.message_fate(0, 0, 1, ms(5), &mut rng);
+        let fate = plan.message_fate(0, 0, 1, SimTime::from_millis(5), &mut rng);
         assert_eq!(fate, MessageFate::clean());
-        assert_eq!(plan.device_multiplier(0, ms(5)), 1.0);
+        assert_eq!(plan.device_multiplier(0, SimTime::from_millis(5)), 1.0);
         assert!(plan.timeline().is_empty());
     }
 
@@ -469,15 +465,29 @@ mod tests {
         let plan = FaultPlan::none().with_partition(Partition {
             a: 0,
             b: 2,
-            from: ms(10),
-            until: ms(20),
+            from: SimTime::from_millis(10),
+            until: SimTime::from_millis(20),
         });
         let mut rng = SimRng::seed(2);
-        assert!(plan.message_fate(0, 0, 2, ms(15), &mut rng).dropped);
-        assert!(plan.message_fate(0, 2, 0, ms(15), &mut rng).dropped);
+        assert!(
+            plan.message_fate(0, 0, 2, SimTime::from_millis(15), &mut rng)
+                .dropped
+        );
+        assert!(
+            plan.message_fate(0, 2, 0, SimTime::from_millis(15), &mut rng)
+                .dropped
+        );
         // Outside the window and for unrelated pairs: clean.
-        assert!(!plan.message_fate(0, 0, 2, ms(25), &mut rng).dropped);
-        assert!(!plan.message_fate(0, 0, 1, ms(15), &mut rng).dropped);
+        assert!(
+            !plan
+                .message_fate(0, 0, 2, SimTime::from_millis(25), &mut rng)
+                .dropped
+        );
+        assert!(
+            !plan
+                .message_fate(0, 0, 1, SimTime::from_millis(15), &mut rng)
+                .dropped
+        );
     }
 
     #[test]
@@ -485,7 +495,7 @@ mod tests {
         let plan = FaultPlan::none().with_link_fault(LinkFault {
             link: Some(1),
             from: SimTime::ZERO,
-            until: ms(1000),
+            until: SimTime::from_millis(1000),
             drop_p: 0.3,
             dup_p: 0.0,
             reorder_p: 0.0,
@@ -496,12 +506,19 @@ mod tests {
         let mut rng = SimRng::seed(3);
         let n = 20_000;
         let dropped = (0..n)
-            .filter(|_| plan.message_fate(1, 0, 1, ms(1), &mut rng).dropped)
+            .filter(|_| {
+                plan.message_fate(1, 0, 1, SimTime::from_millis(1), &mut rng)
+                    .dropped
+            })
             .count();
         let frac = dropped as f64 / n as f64;
         assert!((0.27..0.33).contains(&frac), "drop fraction {frac}");
         // Other links unaffected.
-        assert!(!plan.message_fate(0, 0, 1, ms(1), &mut rng).dropped);
+        assert!(
+            !plan
+                .message_fate(0, 0, 1, SimTime::from_millis(1), &mut rng)
+                .dropped
+        );
     }
 
     #[test]
@@ -509,7 +526,7 @@ mod tests {
         let plan = FaultPlan::none().with_link_fault(LinkFault {
             link: None,
             from: SimTime::ZERO,
-            until: ms(1000),
+            until: SimTime::from_millis(1000),
             drop_p: 0.0,
             dup_p: 1.0,
             reorder_p: 1.0,
@@ -518,7 +535,7 @@ mod tests {
             spike: SimDuration::nanos(200_000),
         });
         let mut rng = SimRng::seed(4);
-        let fate = plan.message_fate(3, 0, 1, ms(1), &mut rng);
+        let fate = plan.message_fate(3, 0, 1, SimTime::from_millis(1), &mut rng);
         assert!(!fate.dropped);
         assert!(fate.duplicated);
         assert!(fate.dup_gap > SimDuration::ZERO);
@@ -532,7 +549,7 @@ mod tests {
         let plan = FaultPlan::none().with_link_fault(LinkFault {
             link: None,
             from: SimTime::ZERO,
-            until: ms(1000),
+            until: SimTime::from_millis(1000),
             drop_p: 0.2,
             dup_p: 0.2,
             reorder_p: 0.2,
@@ -543,7 +560,7 @@ mod tests {
         let run = |seed| {
             let mut rng = SimRng::seed(seed);
             (0..256)
-                .map(|i| plan.message_fate(i % 4, 0, 1, ms(1), &mut rng))
+                .map(|i| plan.message_fate(i % 4, 0, 1, SimTime::from_millis(1), &mut rng))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));
@@ -555,22 +572,22 @@ mod tests {
         let plan = FaultPlan::none()
             .with_gray_window(GrayWindow {
                 device: 2,
-                from: ms(10),
-                until: ms(30),
+                from: SimTime::from_millis(10),
+                until: SimTime::from_millis(30),
                 multiplier: 8.0,
             })
             .with_gray_window(GrayWindow {
                 device: 2,
-                from: ms(20),
-                until: ms(40),
+                from: SimTime::from_millis(20),
+                until: SimTime::from_millis(40),
                 multiplier: 2.0,
             });
-        assert_eq!(plan.device_multiplier(2, ms(5)), 1.0);
-        assert_eq!(plan.device_multiplier(2, ms(15)), 8.0);
-        assert_eq!(plan.device_multiplier(2, ms(25)), 16.0);
-        assert_eq!(plan.device_multiplier(2, ms(35)), 2.0);
-        assert_eq!(plan.device_multiplier(2, ms(45)), 1.0);
-        assert_eq!(plan.device_multiplier(0, ms(25)), 1.0);
+        assert_eq!(plan.device_multiplier(2, SimTime::from_millis(5)), 1.0);
+        assert_eq!(plan.device_multiplier(2, SimTime::from_millis(15)), 8.0);
+        assert_eq!(plan.device_multiplier(2, SimTime::from_millis(25)), 16.0);
+        assert_eq!(plan.device_multiplier(2, SimTime::from_millis(35)), 2.0);
+        assert_eq!(plan.device_multiplier(2, SimTime::from_millis(45)), 1.0);
+        assert_eq!(plan.device_multiplier(0, SimTime::from_millis(25)), 1.0);
     }
 
     #[test]
@@ -578,14 +595,14 @@ mod tests {
         let plan = FaultPlan::none()
             .with_crash(CrashSchedule {
                 process: 1,
-                at: ms(20),
-                restart_at: Some(ms(60)),
+                at: SimTime::from_millis(20),
+                restart_at: Some(SimTime::from_millis(60)),
                 torn_tail: true,
             })
             .with_gray_window(GrayWindow {
                 device: 0,
-                from: ms(10),
-                until: ms(50),
+                from: SimTime::from_millis(10),
+                until: SimTime::from_millis(50),
                 multiplier: 4.0,
             });
         let tl = plan.timeline();
@@ -593,7 +610,7 @@ mod tests {
         assert_eq!(
             tl[0],
             (
-                ms(10),
+                SimTime::from_millis(10),
                 FaultEvent::GraySet {
                     device: 0,
                     multiplier: 4.0
@@ -603,7 +620,7 @@ mod tests {
         assert_eq!(
             tl[1],
             (
-                ms(20),
+                SimTime::from_millis(20),
                 FaultEvent::Crash {
                     process: 1,
                     torn_tail: true
@@ -613,21 +630,24 @@ mod tests {
         assert_eq!(
             tl[2],
             (
-                ms(50),
+                SimTime::from_millis(50),
                 FaultEvent::GraySet {
                     device: 0,
                     multiplier: 1.0
                 }
             )
         );
-        assert_eq!(tl[3], (ms(60), FaultEvent::Restart { process: 1 }));
+        assert_eq!(
+            tl[3],
+            (SimTime::from_millis(60), FaultEvent::Restart { process: 1 })
+        );
     }
 
     #[test]
     fn bit_rot_lands_on_the_timeline() {
         let plan = FaultPlan::none().with_bit_rot(BitRotSchedule {
             process: 2,
-            at: ms(15),
+            at: SimTime::from_millis(15),
             object_lo: 4,
             object_hi: 12,
             flips: 3,
@@ -637,7 +657,7 @@ mod tests {
         assert_eq!(
             plan.timeline(),
             vec![(
-                ms(15),
+                SimTime::from_millis(15),
                 FaultEvent::BitRot {
                     process: 2,
                     object_lo: 4,
@@ -654,7 +674,7 @@ mod tests {
     fn empty_rot_range_rejected() {
         let _ = FaultPlan::none().with_bit_rot(BitRotSchedule {
             process: 0,
-            at: ms(1),
+            at: SimTime::from_millis(1),
             object_lo: 5,
             object_hi: 5,
             flips: 1,
@@ -667,8 +687,8 @@ mod tests {
     fn restart_before_crash_rejected() {
         let _ = FaultPlan::none().with_crash(CrashSchedule {
             process: 0,
-            at: ms(10),
-            restart_at: Some(ms(5)),
+            at: SimTime::from_millis(10),
+            restart_at: Some(SimTime::from_millis(5)),
             torn_tail: false,
         });
     }

@@ -11,11 +11,11 @@
 //! land in an *overflow tier* — a small binary heap — and cascade into the
 //! wheel when the window rotates past them.
 //!
-//! Both implementations are always compiled; [`SchedulerKind::default`] picks
-//! the wheel unless the crate is built with the `heap-sched` feature, which
-//! restores the heap as an oracle for differential testing. Tie-break is the
-//! same `(time, seq)` order in both, so event order — and therefore every
-//! simulation fingerprint — is bit-identical between them.
+//! Both implementations are always compiled; [`SchedulerKind::default`] is
+//! the wheel, and the heap stays as the oracle that differential tests select
+//! at runtime. Tie-break is the same `(time, seq)` order in both, so event
+//! order — and therefore every simulation fingerprint — is bit-identical
+//! between them.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -31,26 +31,14 @@ const MAX_SLOTS: usize = 16_384;
 
 /// Which event-queue implementation a [`Simulation`](crate::Simulation) uses.
 ///
-/// Both are always compiled; this selects at construction time. The default
-/// is [`SchedulerKind::Wheel`] unless the `heap-sched` feature is enabled,
-/// which flips the default to the [`SchedulerKind::Heap`] oracle.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+/// Both are always compiled; this selects at construction time.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// Calendar queue: timing wheel with an overflow tier. Amortized O(1).
+    #[default]
     Wheel,
     /// The original `BinaryHeap` implementation. O(log n), kept as an oracle.
     Heap,
-}
-
-impl Default for SchedulerKind {
-    #[cfg(not(feature = "heap-sched"))]
-    fn default() -> Self {
-        SchedulerKind::Wheel
-    }
-    #[cfg(feature = "heap-sched")]
-    fn default() -> Self {
-        SchedulerKind::Heap
-    }
 }
 
 /// One queued event. Heap ordering is reversed on `(time, seq)` so the

@@ -38,6 +38,11 @@ impl SimTime {
         SimTime(ns)
     }
 
+    /// Constructs an instant from whole milliseconds since simulation start.
+    pub const fn from_millis(ms: u64) -> Self {
+        SimTime(ms * 1_000_000)
+    }
+
     /// Nanoseconds since simulation start.
     pub const fn nanos(self) -> u64 {
         self.0

@@ -618,10 +618,6 @@ pub fn chrome_trace_json(
 mod tests {
     use super::*;
 
-    fn ms(n: u64) -> SimTime {
-        SimTime::from_nanos(n * 1_000_000)
-    }
-
     #[test]
     fn trace_id_round_trips() {
         let id = TraceId::from_conn_op(13, 0xABCDEF);
@@ -633,17 +629,17 @@ mod tests {
     fn finish_folds_components_and_residual() {
         let mut r = Recorder::new(4);
         let id = TraceId::from_conn_op(0, 1);
-        r.begin(id, true, ms(1));
+        r.begin(id, true, SimTime::from_millis(1));
         r.span(
             id,
             "rp.primary",
             Track::Osd(0),
-            ms(1),
+            SimTime::from_millis(1),
             SimDuration::millis(2),
             Component::Service,
         );
         r.add(id, Component::Nvm, 500_000);
-        let fin = r.finish(id, ms(11)).expect("open op");
+        let fin = r.finish(id, SimTime::from_millis(11)).expect("open op");
         assert_eq!(fin.total, SimDuration::millis(10));
         let rep = r.report();
         assert_eq!(rep.ops, 1);
@@ -659,8 +655,8 @@ mod tests {
         let mut r = Recorder::new(2);
         for i in 0..5u64 {
             let id = TraceId::from_conn_op(0, i);
-            r.begin(id, true, ms(0));
-            r.finish(id, ms(i + 1)).unwrap();
+            r.begin(id, true, SimTime::from_millis(0));
+            r.finish(id, SimTime::from_millis(i + 1)).unwrap();
         }
         let rep = r.report();
         assert_eq!(rep.slow_ops.len(), 2);
@@ -673,12 +669,12 @@ mod tests {
     fn dominant_span_is_longest() {
         let mut r = Recorder::new(1);
         let id = TraceId::from_conn_op(1, 7);
-        r.begin(id, false, ms(0));
+        r.begin(id, false, SimTime::from_millis(0));
         r.span(
             id,
             "queue.rp",
             Track::Osd(2),
-            ms(0),
+            SimTime::from_millis(0),
             SimDuration::micros(5),
             Component::Queue,
         );
@@ -686,11 +682,11 @@ mod tests {
             id,
             "device",
             Track::Osd(2),
-            ms(0),
+            SimTime::from_millis(0),
             SimDuration::micros(50),
             Component::Device,
         );
-        r.finish(id, ms(1)).unwrap();
+        r.finish(id, SimTime::from_millis(1)).unwrap();
         let rep = r.report();
         let dom = rep.slow_ops[0].dominant_span().unwrap();
         assert_eq!(dom.name, "device");
@@ -712,18 +708,18 @@ mod tests {
     fn chrome_export_is_deterministic_and_parses_shape() {
         let mut r = Recorder::new(2);
         let id = TraceId::from_conn_op(3, 9);
-        r.begin(id, true, ms(2));
+        r.begin(id, true, SimTime::from_millis(2));
         r.span(
             id,
             "net.repop",
             Track::Osd(1),
-            ms(2),
+            SimTime::from_millis(2),
             SimDuration::micros(30),
             Component::Network,
         );
-        r.finish(id, ms(4)).unwrap();
+        r.finish(id, SimTime::from_millis(4)).unwrap();
         let mut ts = TimeSeries::new(vec!["iops_w"]);
-        ts.push(ms(1), vec![123.0]);
+        ts.push(SimTime::from_millis(1), vec![123.0]);
         // OSDs 0-1 on shard 1, OSD 2 on shard 2.
         let shards = [1u32, 1, 2];
         let a = chrome_trace_json(&r.report().slow_ops, Some(&ts), Some(&shards));
@@ -751,8 +747,8 @@ mod tests {
     #[test]
     fn timeseries_csv_has_header_and_rows() {
         let mut ts = TimeSeries::new(vec!["a", "b"]);
-        ts.push(ms(1), vec![1.0, 2.5]);
-        ts.push(ms(2), vec![3.0, 4.0]);
+        ts.push(SimTime::from_millis(1), vec![1.0, 2.5]);
+        ts.push(SimTime::from_millis(2), vec![3.0, 4.0]);
         let csv = ts.to_csv();
         let mut lines = csv.lines();
         assert_eq!(lines.next(), Some("t_ms,a,b"));

@@ -1,10 +1,6 @@
-//! Plain-text report tables for benchmark harnesses.
-//!
-//! Every figure/table harness prints the paper's reference rows next to the
-//! measured rows; [`Table`] keeps that output aligned and also renders CSV
-//! for downstream plotting.
+//! CSV report tables and a latency formatter for harness output.
 
-/// A simple column-aligned table.
+/// A table of string cells with a fixed header, rendered as CSV.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     header: Vec<String>,
@@ -30,36 +26,6 @@ impl Table {
         assert_eq!(row.len(), self.header.len(), "row width mismatch");
         self.rows.push(row);
         self
-    }
-
-    /// Renders the aligned text table.
-    pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
-        for row in &self.rows {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| {
-            let mut line = String::new();
-            for (i, (cell, w)) in cells.iter().zip(widths).enumerate() {
-                if i > 0 {
-                    line.push_str("  ");
-                }
-                line.push_str(&format!("{cell:<w$}"));
-            }
-            line.trim_end().to_string()
-        };
-        out.push_str(&fmt_row(&self.header, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
-        out
     }
 
     /// Renders CSV (comma-separated; cells containing commas are quoted).
@@ -95,44 +61,9 @@ pub fn fmt_latency(ns: u64) -> String {
     }
 }
 
-/// Formats an IOPS figure ("820.0K").
-pub fn fmt_iops(iops: f64) -> String {
-    if iops >= 1e6 {
-        format!("{:.2}M", iops / 1e6)
-    } else if iops >= 1e3 {
-        format!("{:.1}K", iops / 1e3)
-    } else {
-        format!("{iops:.0}")
-    }
-}
-
-/// Formats bytes as GiB/MiB ("1.50GiB").
-pub fn fmt_bytes(bytes: u64) -> String {
-    const GIB: f64 = (1u64 << 30) as f64;
-    const MIB: f64 = (1u64 << 20) as f64;
-    if bytes as f64 >= GIB {
-        format!("{:.2}GiB", bytes as f64 / GIB)
-    } else {
-        format!("{:.1}MiB", bytes as f64 / MIB)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_renders_aligned() {
-        let mut t = Table::new(["system", "iops"]);
-        t.row(["Original", "181K"]);
-        t.row(["Proposed (paper)", "820K"]);
-        let s = t.render();
-        let lines: Vec<&str> = s.lines().collect();
-        assert!(lines[0].starts_with("system"));
-        assert!(lines[2].starts_with("Original"));
-        let col = lines[0].find("iops").unwrap();
-        assert_eq!(&lines[3][col..col + 4], "820K");
-    }
 
     #[test]
     #[should_panic(expected = "width mismatch")]
@@ -151,9 +82,5 @@ mod tests {
     fn formatters() {
         assert_eq!(fmt_latency(1_110_000), "1.11ms");
         assert_eq!(fmt_latency(820), "820ns");
-        assert_eq!(fmt_iops(820_000.0), "820.0K");
-        assert_eq!(fmt_iops(1_500_000.0), "1.50M");
-        assert_eq!(fmt_bytes(120 << 30), "120.00GiB");
-        assert_eq!(fmt_bytes(21 << 20), "21.0MiB");
     }
 }

@@ -20,10 +20,6 @@ fn oid(i: u64) -> ObjectId {
     ObjectId::new(GroupId((i % PGS as u64) as u32), i)
 }
 
-fn ms(n: u64) -> SimTime {
-    SimTime::from_nanos(n * 1_000_000)
-}
-
 struct Conn {
     cursor: u64,
 }
@@ -76,7 +72,7 @@ fn build(seed: u64, drop_p: f64) -> ClusterSim {
         .with_link_fault(LinkFault {
             link: None,
             from: SimTime::ZERO,
-            until: ms(10_000),
+            until: SimTime::from_millis(10_000),
             drop_p,
             dup_p: drop_p / 2.0,
             reorder_p: 0.05,
@@ -87,19 +83,19 @@ fn build(seed: u64, drop_p: f64) -> ClusterSim {
         .with_partition(Partition {
             a: 0,
             b: 1,
-            from: ms(6),
-            until: ms(14),
+            from: SimTime::from_millis(6),
+            until: SimTime::from_millis(14),
         })
         .with_gray_window(GrayWindow {
             device: 1,
-            from: ms(2),
-            until: ms(25),
+            from: SimTime::from_millis(2),
+            until: SimTime::from_millis(25),
             multiplier: 8.0,
         })
         .with_crash(CrashSchedule {
             process: 2,
-            at: ms(5),
-            restart_at: Some(ms(35)),
+            at: SimTime::from_millis(5),
+            restart_at: Some(SimTime::from_millis(35)),
             torn_tail: true,
         });
     cfg.heartbeat_period = Some(SimDuration::millis(1));

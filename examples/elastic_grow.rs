@@ -23,10 +23,6 @@ fn oid(conn: u64, i: u64) -> ObjectId {
     ObjectId::new(GroupId((k % PGS as u64) as u32), k)
 }
 
-fn ms(n: u64) -> SimTime {
-    SimTime::from_nanos(n * 1_000_000)
-}
-
 struct Conn {
     conn: u64,
     cursor: u64,
@@ -86,7 +82,7 @@ fn build(seed: u64) -> ClusterSim {
     cfg.churn = (0..8)
         .filter(|o| o % 2 == 1)
         .map(|o| ChurnOp {
-            at: ms(8) + SimDuration::micros(100) * o as u64,
+            at: SimTime::from_millis(8) + SimDuration::micros(100) * o as u64,
             osd: o,
             weight: DEFAULT_OSD_WEIGHT,
         })

@@ -35,10 +35,6 @@ fn ballast_oid(j: u64) -> ObjectId {
     ObjectId::new(GroupId((k % PGS as u64) as u32), k)
 }
 
-fn ms(n: u64) -> SimTime {
-    SimTime::from_nanos(n * 1_000_000)
-}
-
 /// Writes, ballast, then a full read-back sweep of every written block —
 /// the reads run after the rot strike, so correct contents prove the
 /// checksum/redirect/repair path end to end.
@@ -107,7 +103,7 @@ fn build(seed: u64, flips: u32) -> ClusterSim {
     // flushed block of any object it holds is fair game.
     cfg.faults = FaultPlan::none().with_bit_rot(BitRotSchedule {
         process: 1,
-        at: ms(6),
+        at: SimTime::from_millis(6),
         object_lo: 0,
         object_hi: u64::MAX,
         flips,

@@ -37,10 +37,6 @@ fn oid(conn: u64, k: u64) -> ObjectId {
     ObjectId::new(GroupId((i % PGS as u64) as u32), i)
 }
 
-fn ms(n: u64) -> SimTime {
-    SimTime::from_nanos(n * 1_000_000)
-}
-
 /// Case count, honoring `PROPTEST_CASES` — an explicit `with_cases` value
 /// otherwise shadows the environment variable, and the extended-chaos CI
 /// job relies on it to dial intensity up without a code change.
@@ -113,7 +109,7 @@ fn plan(s: &Scenario) -> FaultPlan {
         .with_link_fault(LinkFault {
             link: None,
             from: SimTime::ZERO,
-            until: ms(10_000),
+            until: SimTime::from_millis(10_000),
             drop_p: s.drop_p,
             dup_p: s.dup_p,
             reorder_p: 0.05,
@@ -124,20 +120,20 @@ fn plan(s: &Scenario) -> FaultPlan {
         .with_partition(Partition {
             a,
             b,
-            from: ms(s.part_from_ms),
-            until: ms(s.part_from_ms + s.part_len_ms),
+            from: SimTime::from_millis(s.part_from_ms),
+            until: SimTime::from_millis(s.part_from_ms + s.part_len_ms),
         })
         .with_gray_window(GrayWindow {
             // Device index mirrors OSD index; slow a survivor of the crash.
             device: (s.crash_osd as usize + 1) % NODES,
-            from: ms(2),
-            until: ms(25),
+            from: SimTime::from_millis(2),
+            until: SimTime::from_millis(25),
             multiplier: s.gray_mult,
         })
         .with_crash(CrashSchedule {
             process: s.crash_osd as usize,
-            at: ms(4 + s.part_from_ms % 5),
-            restart_at: Some(ms(30 + s.part_len_ms)),
+            at: SimTime::from_millis(4 + s.part_from_ms % 5),
+            restart_at: Some(SimTime::from_millis(30 + s.part_len_ms)),
             torn_tail: s.torn_tail,
         })
 }
@@ -275,7 +271,7 @@ fn converging_link_fault(drop_p: f64) -> LinkFault {
     LinkFault {
         link: None,
         from: SimTime::ZERO,
-        until: ms(60),
+        until: SimTime::from_millis(60),
         drop_p,
         dup_p: drop_p / 2.0,
         reorder_p: 0.05,
@@ -363,8 +359,8 @@ fn primary_crash_faults(c: &Convergence) -> FaultPlan {
         .with_link_fault(converging_link_fault(c.drop_p))
         .with_crash(CrashSchedule {
             process: primary,
-            at: ms(c.crash_at_ms),
-            restart_at: Some(ms(c.crash_at_ms + c.down_for_ms)),
+            at: SimTime::from_millis(c.crash_at_ms),
+            restart_at: Some(SimTime::from_millis(c.crash_at_ms + c.down_for_ms)),
             torn_tail: c.torn_tail,
         })
 }
@@ -459,8 +455,8 @@ proptest! {
                 let at = 3 + n as u64 * 15;
                 f = f.with_crash(CrashSchedule {
                     process: n,
-                    at: ms(at),
-                    restart_at: Some(ms(at + c.down_for_ms.min(10))),
+                    at: SimTime::from_millis(at),
+                    restart_at: Some(SimTime::from_millis(at + c.down_for_ms.min(10))),
                     torn_tail: c.torn_tail,
                 });
             }
@@ -707,14 +703,14 @@ fn grow_config(seed: u64, drop_p: f64) -> ClusterSimConfig {
     let mut churn: Vec<ChurnOp> = second
         .iter()
         .map(|&osd| ChurnOp {
-            at: ms(8),
+            at: SimTime::from_millis(8),
             osd,
             weight: DEFAULT_OSD_WEIGHT,
         })
         .collect();
     let rest = (0..GROW_OSDS).filter(|id| !seed_osds.contains(id) && !second.contains(id));
     churn.extend(rest.enumerate().map(|(i, osd)| ChurnOp {
-        at: ms(20) + SimDuration::nanos(100_000) * i as u64,
+        at: SimTime::from_millis(20) + SimDuration::nanos(100_000) * i as u64,
         osd,
         weight: DEFAULT_OSD_WEIGHT,
     }));
@@ -746,7 +742,7 @@ fn drain_config(seed: u64, drop_p: f64, drained: u32, at_ms: u64) -> ClusterSimC
         FaultPlan::none().with_link_fault(converging_link_fault(drop_p)),
     );
     cfg.churn = vec![ChurnOp {
-        at: ms(at_ms),
+        at: SimTime::from_millis(at_ms),
         osd: drained,
         weight: 0,
     }];
@@ -773,7 +769,7 @@ fn flap_config(seed: u64, drop_p: f64, flapper: usize, cycles: usize) -> Cluster
             .with_link_fault(converging_link_fault(drop_p))
             .with_flapping(
                 flapper,
-                ms(3),
+                SimTime::from_millis(3),
                 cycles,
                 SimDuration::millis(10),
                 SimDuration::millis(7),
@@ -790,7 +786,7 @@ fn rolling_upgrade_config(seed: u64, drop_p: f64, downtime_ms: u64) -> ClusterSi
             .with_link_fault(converging_link_fault(drop_p))
             .with_rolling_upgrade(
                 0..NODES,
-                ms(3),
+                SimTime::from_millis(3),
                 SimDuration::millis(downtime_ms),
                 SimDuration::millis(downtime_ms + 15),
             ),

@@ -6,12 +6,11 @@
 
 use proptest::prelude::*;
 use rablock::sim::{
-    BitRotSchedule, ChurnOp, ClusterSim, ClusterSimConfig, ConnWorkload, CrashSchedule, FaultPlan,
-    GrayWindow, LinkFault, Partition, RetryPolicy, RotMedia, SchedulerKind, SimDuration, SimReport,
-    SimRng, SimTime, WorkItem,
+    BitRotSchedule, ChurnOp, ClusterSim, ClusterSimConfig, ConnWorkload, FaultPlan, LinkFault,
+    RetryPolicy, RotMedia, SchedulerKind, SimDuration, SimReport, SimRng, SimTime, WorkItem,
 };
 use rablock::{GroupId, ObjectId, PipelineMode};
-use rablock_bench::{paper_cluster, randwrite_conns, Dataset};
+use rablock_bench::scenarios::{self, chaos_config, chaos_conns, chaos_objects, CHAOS_PGS};
 use rablock_cluster::osd::OsdConfig;
 use rablock_cos::CosOptions;
 use rablock_lsm::LsmOptions;
@@ -57,116 +56,45 @@ fn workloads(conns: usize) -> Vec<Box<dyn ConnWorkload>> {
         .collect()
 }
 
-fn fingerprint(mode: PipelineMode, seed: u64) -> (u64, u64, u64, u64) {
+fn small_run(mode: PipelineMode, seed: u64) -> SimReport {
     let mut sim = ClusterSim::new(config(mode, seed), workloads(4));
     sim.prefill(
         &(0..16u64)
             .map(|i| (ObjectId::new(GroupId(i as u32 % 16), i), 1 << 20))
             .collect::<Vec<_>>(),
     );
-    let r = sim.run(SimDuration::millis(10), SimDuration::millis(40));
-    (
-        r.writes_done,
-        r.context_switches,
-        r.nvm_bytes,
-        r.device.bytes_written,
-    )
+    sim.run(SimDuration::millis(10), SimDuration::millis(40))
+}
+
+fn small_fingerprint(mode: PipelineMode, seed: u64) -> Vec<u64> {
+    small_run(mode, seed).fingerprint(None)
 }
 
 #[test]
 fn identical_seeds_give_identical_runs() {
     for mode in [PipelineMode::Original, PipelineMode::Dop, PipelineMode::Ptc] {
-        assert_eq!(fingerprint(mode, 7), fingerprint(mode, 7), "mode {mode:?}");
+        assert_eq!(
+            small_fingerprint(mode, 7),
+            small_fingerprint(mode, 7),
+            "mode {mode:?}"
+        );
     }
 }
 
 #[test]
 fn different_seeds_still_complete_work() {
-    let a = fingerprint(PipelineMode::Dop, 1);
-    let b = fingerprint(PipelineMode::Dop, 2);
-    assert!(
-        a.0 > 100 && b.0 > 100,
-        "both seeds make progress: {a:?} {b:?}"
-    );
+    let a = small_run(PipelineMode::Dop, 1).writes_done;
+    let b = small_run(PipelineMode::Dop, 2).writes_done;
+    assert!(a > 100 && b > 100, "both seeds make progress: {a} {b}");
 }
 
 #[test]
 fn repeated_triple_runs_are_stable() {
-    let runs: Vec<_> = (0..3).map(|_| fingerprint(PipelineMode::Dop, 99)).collect();
+    let runs: Vec<_> = (0..3)
+        .map(|_| small_fingerprint(PipelineMode::Dop, 99))
+        .collect();
     assert_eq!(runs[0], runs[1]);
     assert_eq!(runs[1], runs[2]);
-}
-
-/// Every observable metric of a run, flattened to integers so equality is
-/// byte-for-byte: raw counters, latency percentiles in nanoseconds, CPU
-/// percentages as IEEE-754 bit patterns, store/device accounting, and (when
-/// history checking is on) the checker's verdict counts.
-/// Position of `queue_high_water` in [`full_fingerprint`]'s layout. It is
-/// the one observable that measures the *scheduler* rather than the
-/// simulation: how many events sit pending at once depends on when
-/// cross-domain events merge into the destination queue, which is exactly
-/// what the lookahead window batches. The lookahead-torture test masks
-/// this index when comparing across window sizes (and only then — across
-/// worker counts at a fixed window it must match like everything else).
-const QUEUE_HIGH_WATER_IDX: usize = 10;
-
-fn full_fingerprint(r: &SimReport, checker: Option<(u64, u64)>) -> Vec<u64> {
-    let mut v = vec![
-        r.duration.as_nanos(),
-        r.writes_done,
-        r.reads_done,
-        r.write_iops.to_bits(),
-        r.read_iops.to_bits(),
-        r.context_switches,
-        r.events_processed,
-        r.nvm_bytes,
-        r.nvm_full_stalls,
-        r.client_errors,
-        r.queue_high_water,
-        r.recovery_pushes,
-        r.backfill_bytes,
-        r.degraded_objects,
-        r.backfill_queued,
-        r.backfill_throttled_nanos,
-        r.flaps_damped,
-        r.scrubs_completed,
-        r.scrub_errors_found,
-        r.scrub_errors_repaired,
-        r.scrub_bytes,
-        r.scrub_throttled_nanos,
-        r.read_checksum_errors,
-    ];
-    // Attribution is deliberately excluded: it only exists when tracing is
-    // armed, and the fingerprint must compare equal tracing off vs on.
-    let wf = r.write_lat.fields();
-    let rf = r.read_lat.fields();
-    v.extend(wf.iter().chain(rf.iter()).map(|d| d.as_nanos()));
-    v.extend(r.node_cpu_pct.iter().map(|p| p.to_bits()));
-    v.extend(r.tag_cpu_pct.values().map(|p| p.to_bits()));
-    v.extend(r.class_cpu_pct.values().map(|p| p.to_bits()));
-    v.extend([
-        r.store.user_bytes,
-        r.store.wal_bytes,
-        r.store.flush_bytes,
-        r.store.compaction_bytes,
-        r.store.data_bytes,
-        r.store.metadata_bytes,
-        r.store.superblock_bytes,
-        r.store.read_bytes,
-        r.store.transactions,
-    ]);
-    v.extend([
-        r.device.reads,
-        r.device.writes,
-        r.device.flushes,
-        r.device.bytes_read,
-        r.device.bytes_written,
-        r.device.total_latency_ns,
-    ]);
-    if let Some((acked, checked)) = checker {
-        v.extend([acked, checked]);
-    }
-    v
 }
 
 /// One fig7-style run (the paper-cluster 4 KiB random-write scenario the
@@ -180,20 +108,16 @@ fn fig7_fingerprint_traced(sched: SchedulerKind, trace: bool) -> Vec<u64> {
 }
 
 fn fig7_fingerprint_sharded(sched: SchedulerKind, trace: bool, shards: usize) -> Vec<u64> {
-    const CONNS: usize = 16;
-    let dataset = Dataset::default_for(CONNS);
-    let mut cfg = paper_cluster(PipelineMode::Dop);
-    cfg.scheduler = sched;
-    cfg.trace = trace;
-    cfg.shards = shards;
+    let mut fig7 = scenarios::fig7();
+    fig7.cfg.scheduler = sched;
+    fig7.cfg.trace = trace;
+    fig7.cfg.shards = shards;
     if trace {
-        cfg.telemetry_window = Some(SimDuration::millis(2));
+        fig7.cfg.telemetry_window = Some(SimDuration::millis(2));
     }
-    let mut sim = ClusterSim::new(cfg, randwrite_conns(dataset, CONNS));
-    sim.prefill(&dataset.all_objects());
-    let r = sim.run(SimDuration::ZERO, SimDuration::millis(20));
+    let r = fig7.build().run(SimDuration::ZERO, SimDuration::millis(20));
     assert!(r.writes_done > 0, "fig7 run must make progress");
-    full_fingerprint(&r, None)
+    r.fingerprint(None)
 }
 
 #[test]
@@ -204,115 +128,6 @@ fn fig7_double_run_is_byte_identical() {
     assert_eq!(a, b, "fig7: same seed must replay identical metrics");
 }
 
-const CHAOS_PGS: u32 = 8;
-const CHAOS_CONNS: u64 = 4;
-
-fn chaos_oid(conn: u64, k: u64) -> ObjectId {
-    let i = conn * 100 + k;
-    ObjectId::new(GroupId((i % CHAOS_PGS as u64) as u32), i)
-}
-
-fn ms(n: u64) -> SimTime {
-    SimTime::from_nanos(n * 1_000_000)
-}
-
-struct ChaosConn {
-    conn: u64,
-    cursor: u64,
-}
-
-impl ConnWorkload for ChaosConn {
-    fn next(&mut self, _rng: &mut SimRng) -> Option<WorkItem> {
-        let i = self.cursor;
-        self.cursor += 1;
-        if i < 400 {
-            let k = i % 8;
-            let block = (i / 8) % 16;
-            Some(WorkItem::Write {
-                oid: chaos_oid(self.conn, k),
-                offset: block * 4096,
-                len: 4096,
-                fill: ((self.conn * 97 + k * 31 + block) % 251) as u8,
-            })
-        } else if i < 500 {
-            let j = i - 400;
-            Some(WorkItem::Read {
-                oid: chaos_oid(self.conn, j % 8),
-                offset: (j / 8) * 4096,
-                len: 4096,
-            })
-        } else {
-            None
-        }
-    }
-}
-
-/// The wall-clock harness's chaos seed: drops, duplicates, reordering, a
-/// partition, a gray device, and a crash/restart — with retries, heartbeat
-/// failure detection, and the history checker armed.
-fn chaos_config() -> ClusterSimConfig {
-    let mut cfg = ClusterSimConfig::defaults(PipelineMode::Dop);
-    cfg.nodes = 3;
-    cfg.osds_per_node = 1;
-    cfg.cores_per_node = 8;
-    cfg.priority_threads = 2;
-    cfg.non_priority_threads = 3;
-    cfg.pg_count = CHAOS_PGS;
-    cfg.queue_depth = 4;
-    cfg.seed = 0xC0FFEE;
-    cfg.osd = OsdConfig {
-        mode: PipelineMode::Dop,
-        device_bytes: 64 << 20,
-        nvm_bytes: 8 << 20,
-        ring_bytes: 256 << 10,
-        flush_threshold: 8,
-        lsm: LsmOptions::tiny(),
-        cos: CosOptions::tiny(),
-        ..OsdConfig::default()
-    };
-    cfg.faults = FaultPlan::none()
-        .with_link_fault(LinkFault {
-            link: None,
-            from: SimTime::ZERO,
-            until: ms(10_000),
-            drop_p: 0.01,
-            dup_p: 0.005,
-            reorder_p: 0.05,
-            reorder_max: SimDuration::nanos(200_000),
-            spike_p: 0.02,
-            spike: SimDuration::nanos(500_000),
-        })
-        .with_partition(Partition {
-            a: 0,
-            b: 1,
-            from: ms(8),
-            until: ms(18),
-        })
-        .with_gray_window(GrayWindow {
-            device: 1,
-            from: ms(2),
-            until: ms(25),
-            multiplier: 8.0,
-        })
-        .with_crash(CrashSchedule {
-            process: 0,
-            at: ms(6),
-            restart_at: Some(ms(40)),
-            torn_tail: true,
-        });
-    cfg.heartbeat_period = Some(SimDuration::millis(1));
-    cfg.heartbeat_grace = SimDuration::millis(5);
-    cfg.retry = Some(RetryPolicy {
-        timeout_nanos: 10_000_000,
-        backoff_base_nanos: 1_000_000,
-        backoff_multiplier: 2.0,
-        jitter_frac: 0.2,
-        max_attempts: 8,
-    });
-    cfg.check_history = true;
-    cfg
-}
-
 fn chaos_fingerprint_with(seed: u64, sched: SchedulerKind) -> Vec<u64> {
     chaos_fingerprint_traced(seed, sched, false)
 }
@@ -321,9 +136,34 @@ fn chaos_fingerprint_traced(seed: u64, sched: SchedulerKind, trace: bool) -> Vec
     chaos_fingerprint_opts(seed, sched, trace, 1, None, 100)
 }
 
-/// The chaos fingerprint with the space-parallel knobs exposed: worker
-/// shard count, an optional lookahead override (the torture tests force
-/// 1 ns to maximize synchronization rounds), and the measure window.
+/// The chaos run with the space-parallel knobs exposed: worker shard
+/// count, an optional lookahead override (the torture tests force 1 ns to
+/// maximize synchronization rounds), and the measure window. Returns the
+/// report and the history checker's `(acked, checked)` verdicts.
+fn chaos_run(
+    seed: u64,
+    sched: SchedulerKind,
+    trace: bool,
+    shards: usize,
+    lookahead: Option<SimDuration>,
+    measure_ms: u64,
+) -> (SimReport, Option<(u64, u64)>) {
+    let mut chaos = scenarios::chaos();
+    chaos.cfg.seed = seed;
+    chaos.cfg.scheduler = sched;
+    chaos.cfg.trace = trace;
+    chaos.cfg.shards = shards;
+    chaos.cfg.lookahead = lookahead;
+    if trace {
+        chaos.cfg.telemetry_window = Some(SimDuration::millis(5));
+    }
+    let mut sim = chaos.build();
+    let r = sim.run(SimDuration::ZERO, SimDuration::millis(measure_ms));
+    assert!(r.writes_done > 0, "chaos run must make progress");
+    let checker = sim.checker().expect("history checking enabled");
+    (r, Some((checker.writes_acked(), checker.reads_checked())))
+}
+
 fn chaos_fingerprint_opts(
     seed: u64,
     sched: SchedulerKind,
@@ -332,27 +172,8 @@ fn chaos_fingerprint_opts(
     lookahead: Option<SimDuration>,
     measure_ms: u64,
 ) -> Vec<u64> {
-    let wl: Vec<Box<dyn ConnWorkload>> = (0..CHAOS_CONNS)
-        .map(|c| Box::new(ChaosConn { conn: c, cursor: 0 }) as Box<dyn ConnWorkload>)
-        .collect();
-    let mut cfg = chaos_config();
-    cfg.seed = seed;
-    cfg.scheduler = sched;
-    cfg.trace = trace;
-    cfg.shards = shards;
-    cfg.lookahead = lookahead;
-    if trace {
-        cfg.telemetry_window = Some(SimDuration::millis(5));
-    }
-    let mut sim = ClusterSim::new(cfg, wl);
-    let objects: Vec<(ObjectId, u64)> = (0..CHAOS_CONNS)
-        .flat_map(|c| (0..8).map(move |k| (chaos_oid(c, k), 1 << 20)))
-        .collect();
-    sim.prefill(&objects);
-    let r = sim.run(SimDuration::ZERO, SimDuration::millis(measure_ms));
-    assert!(r.writes_done > 0, "chaos run must make progress");
-    let checker = sim.checker().expect("history checking enabled");
-    full_fingerprint(&r, Some((checker.writes_acked(), checker.reads_checked())))
+    let (r, checker) = chaos_run(seed, sched, trace, shards, lookahead, measure_ms);
+    r.fingerprint(checker)
 }
 
 #[test]
@@ -471,7 +292,7 @@ fn churn_config(seed: u64) -> ClusterSimConfig {
         .with_link_fault(LinkFault {
             link: None,
             from: SimTime::ZERO,
-            until: ms(10_000),
+            until: SimTime::from_millis(10_000),
             drop_p: 0.005,
             dup_p: 0.002,
             reorder_p: 0.05,
@@ -479,7 +300,13 @@ fn churn_config(seed: u64) -> ClusterSimConfig {
             spike_p: 0.02,
             spike: SimDuration::nanos(500_000),
         })
-        .with_flapping(0, ms(3), 6, SimDuration::millis(10), SimDuration::millis(7));
+        .with_flapping(
+            0,
+            SimTime::from_millis(3),
+            6,
+            SimDuration::millis(10),
+            SimDuration::millis(7),
+        );
     cfg.heartbeat_period = Some(SimDuration::millis(1));
     cfg.heartbeat_grace = SimDuration::millis(5);
     cfg.retry = Some(RetryPolicy {
@@ -496,7 +323,7 @@ fn churn_config(seed: u64) -> ClusterSimConfig {
     let mut churn: Vec<ChurnOp> = [1u32, 5, 9, 13]
         .iter()
         .map(|&osd| ChurnOp {
-            at: ms(8),
+            at: SimTime::from_millis(8),
             osd,
             weight: W,
         })
@@ -506,7 +333,7 @@ fn churn_config(seed: u64) -> ClusterSimConfig {
             .filter(|id| id % 4 >= 2)
             .enumerate()
             .map(|(i, osd)| ChurnOp {
-                at: ms(20) + SimDuration::nanos(100_000) * i as u64,
+                at: SimTime::from_millis(20) + SimDuration::nanos(100_000) * i as u64,
                 osd,
                 weight: W,
             }),
@@ -520,21 +347,15 @@ fn churn_fingerprint_with(seed: u64, sched: SchedulerKind) -> Vec<u64> {
 }
 
 fn churn_fingerprint_sharded(seed: u64, sched: SchedulerKind, shards: usize) -> Vec<u64> {
-    let wl: Vec<Box<dyn ConnWorkload>> = (0..CHAOS_CONNS)
-        .map(|c| Box::new(ChaosConn { conn: c, cursor: 0 }) as Box<dyn ConnWorkload>)
-        .collect();
     let mut cfg = churn_config(seed);
     cfg.scheduler = sched;
     cfg.shards = shards;
-    let mut sim = ClusterSim::new(cfg, wl);
-    let objects: Vec<(ObjectId, u64)> = (0..CHAOS_CONNS)
-        .flat_map(|c| (0..8).map(move |k| (chaos_oid(c, k), 256 << 10)))
-        .collect();
-    sim.prefill(&objects);
+    let mut sim = ClusterSim::new(cfg, chaos_conns());
+    sim.prefill(&chaos_objects(256 << 10));
     let r = sim.run(SimDuration::ZERO, SimDuration::millis(100));
     assert!(r.writes_done > 0, "churn run must make progress");
     let checker = sim.checker().expect("history checking enabled");
-    let mut fp = full_fingerprint(&r, Some((checker.writes_acked(), checker.reads_checked())));
+    let mut fp = r.fingerprint(Some((checker.writes_acked(), checker.reads_checked())));
     fp.push(sim.capacity_imbalance().to_bits());
     fp
 }
@@ -571,7 +392,7 @@ fn scrub_config(seed: u64) -> ClusterSimConfig {
     cfg.seed = seed;
     cfg.faults = FaultPlan::none().with_bit_rot(BitRotSchedule {
         process: 1,
-        at: ms(6),
+        at: SimTime::from_millis(6),
         object_lo: 0,
         object_hi: 1 << 16,
         flips: 32,
@@ -584,21 +405,15 @@ fn scrub_config(seed: u64) -> ClusterSimConfig {
 }
 
 fn scrub_fingerprint_sharded(seed: u64, shards: usize) -> Vec<u64> {
-    let wl: Vec<Box<dyn ConnWorkload>> = (0..CHAOS_CONNS)
-        .map(|c| Box::new(ChaosConn { conn: c, cursor: 0 }) as Box<dyn ConnWorkload>)
-        .collect();
     let mut cfg = scrub_config(seed);
     cfg.shards = shards;
-    let mut sim = ClusterSim::new(cfg, wl);
-    let objects: Vec<(ObjectId, u64)> = (0..CHAOS_CONNS)
-        .flat_map(|c| (0..8).map(move |k| (chaos_oid(c, k), 1 << 20)))
-        .collect();
-    sim.prefill(&objects);
+    let mut sim = ClusterSim::new(cfg, chaos_conns());
+    sim.prefill(&chaos_objects(1 << 20));
     let r = sim.run(SimDuration::ZERO, SimDuration::millis(100));
     assert!(r.writes_done > 0, "scrub run must make progress");
     assert!(r.scrubs_completed > 0, "scrub must actually run");
     let checker = sim.checker().expect("history checking enabled");
-    full_fingerprint(&r, Some((checker.writes_acked(), checker.reads_checked())))
+    r.fingerprint(Some((checker.writes_acked(), checker.reads_checked())))
 }
 
 // ---------------------------------------------------------------------------
@@ -674,35 +489,35 @@ fn tracing_is_invisible_to_fingerprint_sharded_chaos() {
 /// traffic. Within that window size the worker count must still be fully
 /// invisible; and against the default-window run, every *simulation*
 /// metric must match — window size is pure batching, never semantics.
-/// The sole exception is `queue_high_water` (see its index constant):
-/// batching is precisely what a pending-population gauge measures, so it
-/// is masked in the cross-window comparison only. (The driver clamps the
-/// override to the network model's floor, so a config can only shrink
-/// windows, not widen them.)
+/// The sole exception is `queue_high_water`: it measures the *scheduler*,
+/// not the simulation — how many events sit pending at once depends on when
+/// cross-domain events merge into the destination queue, which is exactly
+/// what the lookahead window batches — so it is zeroed in the cross-window
+/// comparison only. (The driver clamps the override to the network model's
+/// floor, so a config can only shrink windows, not widen them.)
 #[test]
 fn one_nanosecond_lookahead_is_pure_batching() {
     let sched = SchedulerKind::default();
     let torture_la = Some(SimDuration::nanos(1));
-    let base = chaos_fingerprint_opts(0xC0FFEE, sched, false, 1, torture_la, 20);
+    let (mut base, base_checker) = chaos_run(0xC0FFEE, sched, false, 1, torture_la, 20);
     for shards in [2usize, 4] {
         let tortured = chaos_fingerprint_opts(0xC0FFEE, sched, false, shards, torture_la, 20);
         assert_eq!(
-            base, tortured,
+            base.fingerprint(base_checker),
+            tortured,
             "chaos: 1 ns lookahead at {shards} shards must replay the 1-shard fingerprint"
         );
     }
-    let mask = |mut v: Vec<u64>| {
-        v[QUEUE_HIGH_WATER_IDX] = 0;
-        v
-    };
-    let wide = chaos_fingerprint_opts(0xC0FFEE, sched, false, 1, None, 20);
+    let (mut wide, wide_checker) = chaos_run(0xC0FFEE, sched, false, 1, None, 20);
     assert_ne!(
-        base[QUEUE_HIGH_WATER_IDX], 0,
+        base.queue_high_water, 0,
         "high-water gauge populated (masking a live field, not a dead one)"
     );
+    base.queue_high_water = 0;
+    wide.queue_high_water = 0;
     assert_eq!(
-        mask(wide),
-        mask(base),
+        wide.fingerprint(wide_checker),
+        base.fingerprint(base_checker),
         "chaos: window size must change only merge batching, never a simulation metric"
     );
 }

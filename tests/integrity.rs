@@ -38,10 +38,6 @@ fn oid(conn: u64, k: u64) -> ObjectId {
     ObjectId::new(GroupId((i % PGS as u64) as u32), i)
 }
 
-fn ms(n: u64) -> SimTime {
-    SimTime::from_nanos(n * 1_000_000)
-}
-
 /// Case count, honoring `PROPTEST_CASES` — the scrub-chaos CI job relies on
 /// it to dial intensity up without a code change.
 fn cases(default: u32) -> u32 {
@@ -236,27 +232,7 @@ fn run_with(
     let stuck = sim.stuck_pgs();
     let divergence = sim.replica_divergence();
     let digests = sim.replica_digest_inconsistency();
-    let mut fingerprint = vec![
-        report.duration.as_nanos(),
-        report.writes_done,
-        report.reads_done,
-        report.client_errors,
-        report.context_switches,
-        report.events_processed,
-        report.recovery_pushes,
-        report.backfill_bytes,
-        report.scrubs_completed,
-        report.scrub_errors_found,
-        report.scrub_errors_repaired,
-        report.scrub_bytes,
-        report.scrub_throttled_nanos,
-        report.read_checksum_errors,
-        acked,
-        checked,
-    ];
-    let wf = report.write_lat.fields();
-    let rf = report.read_lat.fields();
-    fingerprint.extend(wf.iter().chain(rf.iter()).map(|d| d.as_nanos()));
+    let fingerprint = report.fingerprint(Some((acked, checked)));
     Outcome {
         writes: report.writes_done,
         reads: report.reads_done,
@@ -348,7 +324,7 @@ fn rot_scenarios() -> impl Strategy<Value = RotScenario> {
 fn rot_config(s: &RotScenario) -> ClusterSimConfig {
     let mut plan = FaultPlan::none().with_bit_rot(BitRotSchedule {
         process: s.rot_osd as usize,
-        at: ms(s.rot_at_ms),
+        at: SimTime::from_millis(s.rot_at_ms),
         object_lo: 0,
         object_hi: 1 << 16,
         flips: s.flips,
@@ -357,7 +333,7 @@ fn rot_config(s: &RotScenario) -> ClusterSimConfig {
     if s.second_strike {
         plan = plan.with_bit_rot(BitRotSchedule {
             process: s.rot_osd as usize,
-            at: ms(s.rot_at_ms + 25),
+            at: SimTime::from_millis(s.rot_at_ms + 25),
             object_lo: 0,
             object_hi: 1 << 16,
             flips: s.flips / 2 + 1,
@@ -430,7 +406,7 @@ fn nvm_log_rot_surfaces_at_crash_and_heals() {
     let plan = FaultPlan::none()
         .with_bit_rot(BitRotSchedule {
             process: 1,
-            at: ms(6),
+            at: SimTime::from_millis(6),
             object_lo: 0,
             object_hi: 1 << 16,
             flips: 24,
@@ -438,8 +414,8 @@ fn nvm_log_rot_surfaces_at_crash_and_heals() {
         })
         .with_crash(CrashSchedule {
             process: 1,
-            at: ms(10),
-            restart_at: Some(ms(20)),
+            at: SimTime::from_millis(10),
+            restart_at: Some(SimTime::from_millis(20)),
             torn_tail: false,
         });
     let mut cfg = base_config(0xB17_0707, plan);
@@ -465,7 +441,7 @@ fn corrupted_replica_read_redirects_and_heals() {
         .0 as usize;
     let plan = FaultPlan::none().with_bit_rot(BitRotSchedule {
         process: primary,
-        at: ms(24),
+        at: SimTime::from_millis(24),
         object_lo: 0,
         object_hi: 1,
         flips: 64,
@@ -514,7 +490,7 @@ fn corrupted_replica_read_redirects_and_heals() {
 fn deep_scrub_is_throttle_bounded() {
     let plan = FaultPlan::none().with_bit_rot(BitRotSchedule {
         process: 2,
-        at: ms(8),
+        at: SimTime::from_millis(8),
         object_lo: 0,
         object_hi: 1 << 16,
         flips: 128,

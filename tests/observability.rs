@@ -27,10 +27,6 @@ fn oid(conn: u64, k: u64) -> ObjectId {
     ObjectId::new(GroupId((i % PGS as u64) as u32), i)
 }
 
-fn ms(n: u64) -> SimTime {
-    SimTime::from_nanos(n * 1_000_000)
-}
-
 /// A bounded random-write stream; objects are namespaced per connection.
 struct WriteConn {
     conn: u64,
@@ -79,7 +75,7 @@ fn gray_config() -> ClusterSimConfig {
     cfg.faults = FaultPlan::none().with_gray_window(GrayWindow {
         device: GRAY_OSD as usize,
         from: SimTime::ZERO,
-        until: ms(10_000),
+        until: SimTime::from_millis(10_000),
         multiplier: 8.0,
     });
     cfg.trace = true;
